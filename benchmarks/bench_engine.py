@@ -11,8 +11,10 @@ session collector in ``conftest.py``):
   well above 10x;
 * the same contrast under the inflationary semantics, where the naive
   driver additionally pays a full interpretation copy per round;
-* the E7 BK join rule and the E8 chain prefix under the dirty-predicate
-  rule index, against ``naive=True``;
+* the E7 BK join rule and the E8 chain prefix under the hash-join
+  driver, against ``naive=True``;
+* cost-ordered compiled kernels against the naive textual-order driver
+  on join-order-sensitive workloads;
 * value interning on/off on the TC workload (equality-heavy: every
   derived pair is re-compared against the full relation each round).
 
@@ -25,7 +27,6 @@ import time
 from repro.budget import Budget
 from repro.deductive.ast import PredLit, Rule, TupD, VarD
 from repro.deductive.bk import chain_to_list_program, join_attempt_program, run_bk
-from repro.deductive.col import Interp
 from repro.engine.ops import HashJoin, Scan, TupleKey, nested_loop_join
 from repro.deductive.datalog import (
     DatalogProgram,
@@ -142,57 +143,7 @@ class TestBKRuleIndex:
             indexed_seconds=round(indexed_time, 4),
             speedup=round(speedup, 2),
         )
-        # The dirty-predicate index used to *lose* to naive here (0.93x
-        # in the committed history); the hash-join driver must not.
-        assert speedup >= 1.0
-
-
-class TestBKHashJoinVsDirty:
-    """The hash-join semi-naive driver against the legacy dirty-predicate
-    rule index it replaced (kept as ``mode="dirty"`` for exactly this
-    comparison)."""
-
-    def test_e7_join(self, engine_record):
-        program = join_attempt_program()
-        data = {
-            "R1": [{"A": f"a{i}", "B": f"b{i}"} for i in range(3)],
-            "R2": [{"B": "b0", "C": f"c{j}"} for j in range(3)],
-        }
-        budget = Budget(objects=None, steps=None, facts=None, iterations=None)
-        dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget, mode="dirty")
-        )
-        hash_time, hash_result = _best_of(lambda: run_bk(program, data, budget))
-        assert hash_result == dirty_result
-        engine_record(
-            "bk_e7_hashjoin_vs_dirty",
-            workload="E7 join-attempt, 3x3",
-            dirty_seconds=round(dirty_time, 4),
-            hashjoin_seconds=round(hash_time, 4),
-            speedup=round(dirty_time / hash_time, 2),
-        )
-
-    def test_e8_chain(self, engine_record):
-        program = chain_to_list_program()
-        data = chain_for_bk(3)
-        budget_factory = lambda: Budget(
-            objects=None, steps=None, facts=None, iterations=None
-        )
-        dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget_factory(), max_rounds=4, mode="dirty")
-        )
-        hash_time, hash_result = _best_of(
-            lambda: run_bk(program, data, budget_factory(), max_rounds=4)
-        )
-        assert hash_result == dirty_result
-        speedup = dirty_time / hash_time
-        engine_record(
-            "bk_e8_hashjoin_vs_dirty",
-            workload="E8 chain-to-list, length 3, 4 rounds",
-            dirty_seconds=round(dirty_time, 4),
-            hashjoin_seconds=round(hash_time, 4),
-            speedup=round(speedup, 2),
-        )
+        # The hash-join driver never loses to naive.
         assert speedup >= 1.0
 
 
@@ -241,22 +192,12 @@ class TestKernelJoin:
         assert speedup >= 1.0
 
 
-def _timed_in_mode(mode: str, fn, repeats: int = 3):
-    """``_best_of(fn)`` with ``Interp.exec_mode`` pinned to *mode*."""
-    previous = Interp.exec_mode
-    Interp.exec_mode = mode
-    try:
-        return _best_of(fn, repeats)
-    finally:
-        Interp.exec_mode = previous
-
-
 def _skewed_join_database(wide: int, narrow: int, rounds: int) -> Database:
     """One wide and one narrow binary relation joined on the middle
     variable, re-fired every round by a slowly growing ``Step`` chain.
-    Textual order re-scans the wide literal each round; the cost order
-    seeds from the round's delta and probes the wide literal through
-    its persistent index."""
+    The naive driver re-joins the wide literal in textual order each
+    round; the cost order seeds from the round's delta and probes the
+    wide literal through its persistent index."""
     schema = Schema(
         {
             "Wide": parse_type("[U, U]"),
@@ -332,72 +273,39 @@ def _reverse_reach_database(length: int) -> Database:
 
 
 class TestJoinOrdering:
-    """The cost-based join orderer + compiled kernels against the legacy
-    textual-order interpreted path, toggled via ``Interp.exec_mode``.
+    """The cost-based join orderer + compiled kernels of the semi-naive
+    driver against the naive driver (``naive=True``), which joins every
+    rule in textual order every round.
 
-    Every pair cross-checks result equality across modes, so the
-    speedups cannot come from computing something different.
+    Every pair cross-checks result equality, so the speedups cannot come
+    from computing something different.
     """
 
     def test_skewed_join(self, engine_record):
         program = _skewed_join_program()
         database = _skewed_join_database(wide=2000, narrow=3, rounds=30)
-        textual_time, textual_result = _timed_in_mode(
-            "textual",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
+        naive_time, naive_result = _best_of(
+            lambda: run_datalog_stratified(program, database, _unlimited(), naive=True)
         )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
+        compiled_time, compiled_result = _best_of(
+            lambda: run_datalog_stratified(program, database, _unlimited())
         )
-        assert compiled_result == textual_result
-        speedup = textual_time / compiled_time
+        assert compiled_result == naive_result
+        speedup = naive_time / compiled_time
         engine_record(
             "join_order_skewed",
             workload=(
                 "Wide(2000) x Narrow(3) join re-fired over 30 delta rounds, "
                 "textual order pessimal"
             ),
-            textual_seconds=round(textual_time, 4),
+            naive_seconds=round(naive_time, 4),
             compiled_seconds=round(compiled_time, 4),
             speedup=round(speedup, 2),
         )
-        # The tentpole acceptance bar: the cost order seeds each round
-        # from the one-fact Step delta and probes Wide through its
-        # persistent index; textual order re-enumerates all 2000 wide
-        # bindings every round.
+        # The cost order seeds each round from the one-fact Step delta
+        # and probes Wide through its persistent index; the naive driver
+        # re-enumerates all 2000 wide bindings every round.
         assert speedup >= 2.0
-
-    def test_kernel_vs_interpreted(self, engine_record):
-        # Same chosen order on both sides — "ordered" replays the cost
-        # order through the interpreted extend_with_literal path, so
-        # this isolates what compilation itself buys: the interpreted
-        # path re-derives determined positions, join specs, and the
-        # batch-vs-probe decision per round, which tiny per-round delta
-        # batches never amortize.
-        program = _skewed_join_program()
-        database = _skewed_join_database(wide=2000, narrow=3, rounds=30)
-        ordered_time, ordered_result = _timed_in_mode(
-            "ordered",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        assert compiled_result == ordered_result
-        speedup = ordered_time / compiled_time
-        engine_record(
-            "kernel_vs_interpreted",
-            workload=(
-                "Wide(2000) x Narrow(3) join re-fired over 30 delta rounds, "
-                "cost order on both sides"
-            ),
-            interpreted_seconds=round(ordered_time, 4),
-            compiled_seconds=round(compiled_time, 4),
-            speedup=round(speedup, 2),
-        )
-        assert speedup >= 1.2
 
     def test_adaptive_small_batch(self, engine_record):
         # Delta size is 1 every round; the old fixed HASH_JOIN_MIN_*
@@ -409,22 +317,20 @@ class TestJoinOrdering:
         # Both arms finish in milliseconds, so best-of-3 is dominated by
         # scheduler noise; more repeats lets the minimum converge and
         # keeps the speedup ratio stable across loaded machines.
-        textual_time, textual_result = _timed_in_mode(
-            "textual",
+        naive_time, naive_result = _best_of(
+            lambda: run_datalog_stratified(program, database, _unlimited(), naive=True),
+            repeats=9,
+        )
+        compiled_time, compiled_result = _best_of(
             lambda: run_datalog_stratified(program, database, _unlimited()),
             repeats=9,
         )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-            repeats=9,
-        )
-        assert compiled_result == textual_result
-        speedup = textual_time / compiled_time
+        assert compiled_result == naive_result
+        speedup = naive_time / compiled_time
         engine_record(
             "join_order_adaptive_small_batch",
             workload="reverse reach over chain(320), delta of 1 per round",
-            textual_seconds=round(textual_time, 4),
+            naive_seconds=round(naive_time, 4),
             compiled_seconds=round(compiled_time, 4),
             speedup=round(speedup, 2),
         )
@@ -432,9 +338,8 @@ class TestJoinOrdering:
 
 
 class TestBKAdaptiveSmall:
-    """E7-small regime: the adaptive hash-join driver against the legacy
-    dirty-predicate index on a join wide enough to show the amortized
-    index reuse (the 3x3 entry above hovered at ~1.0x by design)."""
+    """E7-small regime: the adaptive hash-join driver against the naive
+    driver on a join wide enough to show the amortized index reuse."""
 
     def test_e7_small(self, engine_record):
         program = join_attempt_program()
@@ -443,20 +348,21 @@ class TestBKAdaptiveSmall:
             "R2": [{"B": f"b{j}", "C": f"c{j}"} for j in range(40)],
         }
         budget = Budget(objects=None, steps=None, facts=None, iterations=None)
-        dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget, mode="dirty")
+        naive_time, naive_result = _best_of(
+            lambda: run_bk(program, data, budget, naive=True)
         )
         hash_time, hash_result = _best_of(lambda: run_bk(program, data, budget))
-        assert hash_result == dirty_result
-        speedup = dirty_time / hash_time
+        assert hash_result == naive_result
+        speedup = naive_time / hash_time
         engine_record(
             "bk_e7_small_adaptive",
             workload="E7 join-attempt, 40x40",
-            dirty_seconds=round(dirty_time, 4),
+            naive_seconds=round(naive_time, 4),
             hashjoin_seconds=round(hash_time, 4),
             speedup=round(speedup, 2),
         )
-        assert speedup >= 1.2
+        # The hash-join driver never loses to naive.
+        assert speedup >= 1.0
 
 
 def _uncached_canon_key(value):

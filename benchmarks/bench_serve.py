@@ -82,17 +82,13 @@ def test_closed_loop_16_threads_matches_serial(benchmark, engine_record):
 
         elapsed = _best_of(lambda: _closed_loop(service, STREAM, THREADS))
         stats = service.stats()
-        memo_hits = sum(
-            entry["memo"]["hits"] for entry in stats["databases"].values()
-        )
-        plan_hits = sum(
-            entry["plans"]["hits"] for entry in stats["databases"].values()
-        )
+        memo_hits = sum(stats["metrics"][f"db.{name}.memo.hits"] for name in stats["databases"])
+        plan_hits = sum(stats["metrics"][f"db.{name}.plans.hits"] for name in stats["databases"])
         assert memo_hits > 0 and plan_hits > 0
         metrics = service.metrics
         assert (
-            metrics.counter("queries_started").value
-            == metrics.counter("queries_completed").value
+            metrics.counter("serve.queries.started").value
+            == metrics.counter("serve.queries.completed").value
         )
         engine_record(
             "serve_closed_loop_16_threads",

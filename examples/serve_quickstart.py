@@ -49,14 +49,14 @@ def main() -> None:
         metrics = stats["metrics"]
         print("STATS  :", json.dumps(
             {
-                "accepted": metrics["queries_accepted"],
-                "completed": metrics["queries_completed"],
-                "memo": stats["databases"]["main"]["memo"],
+                "accepted": metrics["serve.queries.accepted"],
+                "completed": metrics["serve.queries.completed"],
+                "memo_hits": metrics["db.main.memo.hits"],
             },
             sort_keys=True,
         ))
-        assert metrics["queries_completed"] == metrics["queries_accepted"] == 2
-        assert stats["databases"]["main"]["memo"]["hits"] >= 1
+        assert metrics["serve.queries.completed"] == metrics["serve.queries.accepted"] == 2
+        assert metrics["db.main.memo.hits"] >= 1
 
     server.stop()  # graceful: drains admitted work, joins the workers
     print("shut down cleanly")

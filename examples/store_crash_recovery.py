@@ -81,7 +81,7 @@ def main() -> None:
                 f"  before {store['state_sha256']}\n"
                 f"  after  {after['state_sha256']}"
             )
-            assert stats["metrics"]["recoveries"] == 1
+            assert stats["metrics"]["store.recoveries"] == 1
             assert after["replayed_records"] == len(UPDATES)
             assert after["lsn"] == len(UPDATES)
             replayed = repr(recovered.query("main", TC).raise_for_status())

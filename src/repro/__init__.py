@@ -51,11 +51,8 @@ from .query import Session, connect, parse
 from .query.explain import explain
 from .query.planner import build_plan, execute_plan
 
-# The operational surface, consolidated here by the observability
-# redesign: the serving layer, durable storage, the statistics catalog,
-# and the repro.obs entry points.  Old deep-import paths
-# (repro.serve.metrics, repro.serve.trace) keep working as deprecated
-# re-export shims.
+# The operational surface: the serving layer, durable storage, the
+# statistics catalog, and the repro.obs entry points.
 from . import obs
 from .catalog import Catalog
 from .obs import (

@@ -665,8 +665,8 @@ def hashjoin_fixpoint(
     budget: Budget,
     max_rounds: int | None = None,
     stats=None,
-    mode: str = "hashjoin",
     initial_deltas: dict | None = None,
+    naive: bool = False,
 ) -> bool:
     """The (semi-naive) round loop over mutable *extents*.
 
@@ -678,12 +678,13 @@ def hashjoin_fixpoint(
     one is a delta round seeded from them instead of a full pass.  BK
     has no negation, so continuation from a closed extent set computes
     exactly the fixpoint of the enlarged base — the store's incremental
-    maintenance path.
+    maintenance path.  ``naive=True`` joins every rule over the full
+    extents every round (and ignores *initial_deltas*).
     """
     state: dict = {"deltas": initial_deltas}  # None = full first round
 
     def step(round_number: int) -> bool:
-        if mode == "naive":
+        if naive:
             use_deltas = None
         elif round_number == 1:
             use_deltas = initial_deltas  # None unless continuing
@@ -715,7 +716,6 @@ def run_bk(
     budget: Budget | None = None,
     max_rounds: int | None = None,
     naive: bool = False,
-    mode: str | None = None,
     trace=None,
 ):
     """Run a BK program to fixpoint.
@@ -725,122 +725,42 @@ def run_bk(
     reduced extent of the answer predicate, or ``?`` if the fixpoint
     does not stabilise within the budget (Example 5.4's divergence).
 
-    Matching keeps BK's lax sub-object discipline.  Evaluation *mode*:
+    Matching keeps BK's lax sub-object discipline.  Rounds after the
+    first are semi-naive: they only enumerate valuations that use at
+    least one fact derived last round, probing the per-predicate kernel
+    scans' attribute hash indexes built on the cached structural
+    metadata of the facts (:func:`_bk_candidates` over
+    :class:`~repro.engine.ops.Scan`).  An old-facts-only valuation
+    re-derives a head that is still present or still dominated, so both
+    drivers reach the same fixpoint.  ``naive=True`` runs every rule
+    every round — the oracle.
 
-    * ``"hashjoin"`` (default) — semi-naive: rounds after the first
-      only enumerate valuations that use at least one fact derived last
-      round, probing the per-predicate kernel scans' attribute hash
-      indexes built on the cached structural metadata of the facts
-      (:func:`_bk_candidates` over :class:`~repro.engine.ops.Scan`).
-      The per-round extents are identical to the naive driver's — an
-      old-facts-only valuation re-derives a head that is still present
-      or still dominated — so results agree at every ``max_rounds``
-      cut.
-    * ``"dirty"`` — the legacy dirty-predicate rule index: rounds after
-      the first re-evaluate (in full) only rules whose tail predicates
-      changed last round.  Kept as the benchmark baseline that the
-      hash-join mode replaces.
-    * ``"naive"`` (or ``naive=True``) — every rule, every round.
+    At a ``max_rounds`` cut the hash-join extents are subsumed by the
+    naive driver's (every fact ≤ one of its facts).  They can lag on
+    recursive programs such as Example 5.4: a fact derived this round
+    reaches a later rule of the same round in the naive driver, but
+    only next round here, as part of the delta.
 
     *trace* (a :class:`~repro.engine.exec.PhysicalTrace`) collects the
     physical operator tree for EXPLAIN's post-run actuals.
     """
     from .physical import bk_physical, fixpoint_stats
 
-    if mode is None:
-        mode = "naive" if naive else "hashjoin"
-    elif naive:
-        mode = "naive"
-    if mode not in ("hashjoin", "dirty", "naive"):
-        raise EvaluationError(f"unknown BK evaluation mode {mode!r}")
     budget = budget or Budget()
-    if mode == "dirty":
-        return _run_bk_dirty(program, database, budget, max_rounds)
-
     extents = seed_extents(database)
     stats = fixpoint_stats(trace)
     try:
         converged = hashjoin_fixpoint(
-            program, extents, budget, max_rounds=max_rounds, stats=stats, mode=mode
+            program, extents, budget, max_rounds=max_rounds, stats=stats, naive=naive
         )
         if not converged:
             return UNDEFINED
     except BudgetExceeded:
         return UNDEFINED
     finally:
-        bk_physical(trace, f"bk-{mode}", stats, extents)
+        bk_physical(trace, "bk-naive" if naive else "bk-hashjoin", stats, extents)
     answer = extents.get(program.answer)
     return reduce_set(SetVal(answer.facts if answer is not None else ()))
-
-
-def _tail_valuations(rule: BKRule, state: dict, budget: Budget) -> Iterator[dict]:
-    """Unindexed tail valuations over plain set extents (legacy driver)."""
-
-    def recurse(tails, valuation):
-        if not tails:
-            yield valuation
-            return
-        tail, rest = tails[0], tails[1:]
-        extent = state.get(tail.pred, set())
-        for bound in extent:
-            for extended in match_leq(tail.pattern, bound, valuation, budget):
-                yield from recurse(rest, extended)
-
-    yield from recurse(list(rule.tails), {})
-
-
-def _run_bk_dirty(
-    program: BKProgram,
-    database: Mapping,
-    budget: Budget,
-    max_rounds: int | None,
-):
-    """The legacy dirty-predicate driver (``mode="dirty"``).
-
-    Rounds after the first re-evaluate only rules whose tail predicates
-    changed last round, but each re-evaluation is a *full* join of the
-    rule over unindexed extents — the scheme the semi-naive hash-join
-    driver replaces (and is benchmarked against in
-    ``benchmarks/bench_engine.py``).
-    """
-    state: dict = {}
-    for name, values in database.items():
-        state[name] = {instantiate(bk_obj(value), {}) for value in values}
-    try:
-        changed = True
-        rounds = 0
-        dirty: set | None = None  # None = first round: evaluate everything
-        while changed:
-            budget.charge("iterations")
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
-                return UNDEFINED
-            changed = False
-            next_dirty: set = set()
-            for rule in program.rules:
-                if dirty is not None and not any(
-                    tail.pred in dirty for tail in rule.tails
-                ):
-                    continue
-                for valuation in list(_tail_valuations(rule, state, budget)):
-                    budget.charge("steps")
-                    derived = instantiate(bk_obj(rule.head.pattern), valuation)
-                    extent = state.setdefault(rule.head.pred, set())
-                    if derived in extent or any(
-                        leq(derived, existing) for existing in extent
-                    ):
-                        continue
-                    budget.charge("facts")
-                    dominated = {e for e in extent if leq(e, derived)}
-                    extent -= dominated
-                    extent.add(derived)
-                    changed = True
-                    next_dirty.add(rule.head.pred)
-            dirty = next_dirty
-    except BudgetExceeded:
-        return UNDEFINED
-    answer = state.get(program.answer, set())
-    return reduce_set(SetVal(answer))
 
 
 # --------------------------------------------------------------------------

@@ -65,15 +65,6 @@ class Interp:
     #: scan).  Used by the ablation benchmark.
     use_index = True
 
-    #: Class-wide execution-mode switch for rule bodies:
-    #: ``"compiled"`` (default) runs cost-ordered compiled kernels,
-    #: ``"ordered"`` runs the cost-based order through the generic
-    #: interpreted join (isolating ordering from compilation), and
-    #: ``"textual"`` is the legacy literal order — the naive drivers
-    #: always run textually, and the benchmarks flip this to measure
-    #: each layer.
-    exec_mode = "compiled"
-
     def __init__(self):
         self.preds: dict = {}
         self.funcs: dict = {}
@@ -81,19 +72,15 @@ class Interp:
 
     @classmethod
     def from_database(cls, database: Database) -> "Interp":
-        interp = cls()
-        # The textual/naive paths never consult statistics, so only the
-        # cost-ordered modes pay for seeding them.
-        catalog = None
-        if cls.exec_mode in ("compiled", "ordered"):
-            from ..catalog import Catalog
+        from ..catalog import Catalog
 
-            catalog = Catalog.for_database(database)
+        interp = cls()
+        catalog = Catalog.for_database(database)
         for name in database.schema.names():
             for value in database[name].items:
                 interp.add_pred(name, value)
             scan = interp.pred(name)
-            if catalog is not None and scan.facts:
+            if scan.facts:
                 # Seed the scan's statistics snapshot from the
                 # database's catalog: computed once per database, not
                 # once per evaluation, and replaced (never mutated)
@@ -318,7 +305,6 @@ def _hash_join_pred(
     substitutions: list,
     interp: Interp,
     budget: Budget,
-    exclude_facts: set | None,
 ) -> list | None:
     """Hash-join a batch of substitutions with a positive predicate literal.
 
@@ -374,15 +360,11 @@ def _hash_join_pred(
     def fallback(subst):
         extended: list = []
         for fact in _candidate_facts(literal, interp, subst):
-            if exclude_facts is not None and fact in exclude_facts:
-                continue
             budget.charge("steps")
             extended.extend(match(term, fact, subst))
         return extended
 
-    return join.join(
-        substitutions, key_for, extend, exclude=exclude_facts, fallback=fallback
-    )
+    return join.join(substitutions, key_for, extend, fallback=fallback)
 
 
 def extend_with_literal(
@@ -391,18 +373,9 @@ def extend_with_literal(
     interp: Interp,
     neg: Interp,
     budget: Budget,
-    exclude_facts: set | None = None,
-    exclude_pairs: set | None = None,
 ) -> list:
     """One join/filter step: extensions of *substitutions* satisfying
-    *literal*.
-
-    This is the shared kernel of the naive driver below and the
-    semi-naive driver in :mod:`repro.engine.seminaive`.  For positive
-    generators, *exclude_facts* (resp. *exclude_pairs* of ``(arg,
-    element)`` for function literals) removes candidates — the
-    semi-naive scheme uses it to restrict earlier join positions to
-    pre-delta facts so no substitution is derived twice in a round.
+    *literal* — the textual-order join of the naive drivers.
 
     Positive predicate joins over a batch of substitutions go through
     :func:`_hash_join_pred` when the literal has determined tuple
@@ -411,9 +384,7 @@ def extend_with_literal(
     """
     next_substitutions: list = []
     if isinstance(literal, PredLit) and literal.positive:
-        joined = _hash_join_pred(
-            literal, substitutions, interp, budget, exclude_facts
-        )
+        joined = _hash_join_pred(literal, substitutions, interp, budget)
         if joined is not None:
             return joined
         scan = interp.preds.get(literal.name)
@@ -425,8 +396,6 @@ def extend_with_literal(
             if scan is not None:
                 scan.fallback_work += len(facts)
             for fact in facts:
-                if exclude_facts is not None and fact in exclude_facts:
-                    continue
                 budget.charge("steps")
                 before = len(next_substitutions)
                 next_substitutions.extend(match(literal.term, fact, subst))
@@ -438,11 +407,6 @@ def extend_with_literal(
             for arg, elements in graph.items():
                 for arg_subst in match(literal.arg, arg, subst):
                     for element in elements:
-                        if (
-                            exclude_pairs is not None
-                            and (arg, element) in exclude_pairs
-                        ):
-                            continue
                         budget.charge("steps")
                         next_substitutions.extend(
                             match(literal.element, element, arg_subst)
@@ -495,30 +459,31 @@ def rule_substitutions(
     interp: Interp,
     budget: Budget,
     negation_interp: Interp | None = None,
-    exec_mode: str | None = None,
 ) -> Iterator[dict]:
     """All body-satisfying substitutions of *rule* under *interp*.
 
     Negated literals (and function-value terms in equalities) are
     evaluated against *negation_interp* when given — the stratified
     semantics points it at the completed lower strata; the inflationary
-    semantics at the current interpretation.
-
-    *exec_mode* (defaulting to :attr:`Interp.exec_mode`) selects the
-    body execution strategy: ``"compiled"`` and ``"ordered"`` run the
-    cost-based order of :mod:`repro.deductive.ordering` (compiled
-    kernels vs. the generic interpreted join); ``"textual"`` is the
-    legacy literal order used by the naive drivers.
+    semantics at the current interpretation.  The body runs as the
+    cached, cost-ordered compiled kernel of
+    :mod:`repro.deductive.kernels`.
     """
     neg = negation_interp if negation_interp is not None else interp
-    mode = Interp.exec_mode if exec_mode is None else exec_mode
-    if mode != "textual":
-        kernel = interp.kernels().kernel(rule)
-        if mode == "compiled":
-            yield from kernel.run([{}], neg, budget)
-        else:
-            yield from kernel.run_interpreted([{}], neg, budget)
-        return
+    yield from interp.kernels().kernel(rule).run([{}], neg, budget)
+
+
+def textual_substitutions(
+    rule: Rule,
+    interp: Interp,
+    budget: Budget,
+    negation_interp: Interp | None = None,
+) -> Iterator[dict]:
+    """:func:`rule_substitutions` joined in the textual literal order
+    (generators, then equalities, then negations) through
+    :func:`extend_with_literal` — the reference join of the naive
+    drivers, which never consult statistics or compiled kernels."""
+    neg = negation_interp if negation_interp is not None else interp
     substitutions = [dict()]
     for literal in _literal_order(rule.body):
         budget.charge("steps")
@@ -533,14 +498,14 @@ def apply_rule(
     interp: Interp,
     budget: Budget,
     negation_interp: Interp | None = None,
-    exec_mode: str | None = None,
 ) -> bool:
-    """Add all immediate consequences of *rule*; report change."""
+    """Add all immediate consequences of *rule*; report change.
+
+    This is the naive driver's step, so it joins in the textual literal
+    order (:func:`textual_substitutions`)."""
     changed = False
     head = rule.head
-    for subst in list(
-        rule_substitutions(rule, interp, budget, negation_interp, exec_mode)
-    ):
+    for subst in list(textual_substitutions(rule, interp, budget, negation_interp)):
         if isinstance(head, PredLit):
             value = eval_term(head.term, subst, interp)
             if interp.add_pred(head.name, value):
@@ -565,7 +530,7 @@ def fixpoint(
     """Iterate the rules to a (cumulative) fixpoint in place.
 
     The naive driver is the reference implementation the semi-naive
-    machinery is cross-checked against, so it always runs the legacy
+    machinery is cross-checked against, so it joins every rule in the
     textual literal order — the cost-based kernels belong to the
     semi-naive drivers."""
     rules = list(rules)
@@ -573,7 +538,7 @@ def fixpoint(
     def step(_round: int) -> bool:
         changed = False
         for rule in rules:
-            if apply_rule(rule, interp, budget, negation_interp, exec_mode="textual"):
+            if apply_rule(rule, interp, budget, negation_interp):
                 changed = True
         return changed
 

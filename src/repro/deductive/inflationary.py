@@ -75,14 +75,12 @@ def run_inflationary(
 
 
 def _apply_from_snapshot(rule, snapshot: Interp, live: Interp, budget: Budget) -> bool:
-    from .col import eval_term, rule_substitutions
+    from .col import eval_term, textual_substitutions
     from .ast import PredLit
 
     changed = False
     # Naive reference driver: textual order (see col.fixpoint).
-    for subst in list(
-        rule_substitutions(rule, snapshot, budget, snapshot, exec_mode="textual")
-    ):
+    for subst in list(textual_substitutions(rule, snapshot, budget, snapshot)):
         head = rule.head
         if isinstance(head, PredLit):
             value = eval_term(head.term, subst, snapshot)

@@ -38,14 +38,13 @@ Both drivers take ``naive=True`` as an escape hatch that delegates to
 the original drivers, and both are cross-checked against them in
 ``tests/engine/test_seminaive.py`` on the E6/E7/E8 workloads.
 
-Join work inside each position is delegated to
-:func:`repro.deductive.col.extend_with_literal`, which batches the
-pending substitutions through a transient hash join over the
-predicate's facts (keyed on the literal's determined tuple positions)
-whenever the shapes allow it — so both the delta seeds and the
-old/full extensions probe an index instead of scanning every fact per
-substitution.  The index keys hash via the values' construction-time
-cached structural hashes, making the probe O(1) per substitution.
+Every rule body — the full round-one pass and each delta seed
+occurrence — runs as a cached, cost-ordered compiled kernel
+(:mod:`repro.deductive.kernels`), whose generator steps probe the
+scans' persistent hash indexes keyed on the literal's determined tuple
+positions whenever that beats a nested scan.  The index keys hash via
+the values' construction-time cached structural hashes, making the
+probe O(1) per substitution.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from ..deductive.ast import EqLit, FuncLit, FuncT, PredLit, Rule, SetD, TupD
 from ..deductive.col import (
     Interp,
     eval_term,
-    extend_with_literal,
     fixpoint as naive_fixpoint,
     match,
     rule_substitutions,
@@ -117,7 +115,7 @@ def _mentions_function_value(rule: Rule) -> bool:
 
 
 def _rule_profile(rule: Rule) -> tuple:
-    """(positive body preds, positive body funcs, post-join literals)."""
+    """(positive body preds, positive body funcs, positive generators)."""
     preds = {
         l.name for l in rule.body if isinstance(l, PredLit) and l.positive
     }
@@ -127,20 +125,12 @@ def _rule_profile(rule: Rule) -> tuple:
     generators = [
         l for l in rule.body if isinstance(l, (PredLit, FuncLit)) and l.positive
     ]
-    filters = [
-        l
-        for l in rule.body
-        if not (isinstance(l, (PredLit, FuncLit)) and l.positive)
-    ]
-    # Binding equalities before negations, as in the naive literal order.
-    filters.sort(key=lambda l: 0 if isinstance(l, EqLit) and l.positive else 1)
-    return preds, funcs, generators, filters
+    return preds, funcs, generators
 
 
 def _delta_substitutions(
     rule: Rule,
     generators: list,
-    filters: list,
     interp: Interp,
     delta: Delta,
     budget: Budget,
@@ -148,88 +138,13 @@ def _delta_substitutions(
 ) -> list:
     """All substitutions of *rule* that use at least one delta fact.
 
-    Under the (default) ``"compiled"`` / ``"ordered"`` execution modes
-    each seed occurrence runs through a cached, cost-ordered
+    Each seed occurrence runs through a cached, cost-ordered
     :class:`~repro.deductive.kernels.RuleKernel`; the old/delta/full
     population of every generator is still assigned by its *occurrence*
     index relative to the seed (carried in the kernel's step modes), so
     the exactly-once accounting of the textbook scheme is preserved
     under reordering.
     """
-    mode = Interp.exec_mode
-    if mode != "textual":
-        return _delta_substitutions_kernel(
-            rule, generators, interp, delta, budget, neg, mode
-        )
-    results: list = []
-    for index, delta_literal in enumerate(generators):
-        budget.charge("steps")
-        # Seed the join from the delta occurrence of position `index`.
-        seeds: list = []
-        if isinstance(delta_literal, PredLit):
-            for fact in delta.preds.get(delta_literal.name, ()):
-                budget.charge("steps")
-                seeds.extend(match(delta_literal.term, fact, {}))
-        else:
-            for arg, element in delta.funcs.get(delta_literal.func, ()):
-                for arg_subst in match(delta_literal.arg, arg, {}):
-                    budget.charge("steps")
-                    seeds.extend(match(delta_literal.element, element, arg_subst))
-        if not seeds:
-            continue
-        substitutions = seeds
-        for position, literal in enumerate(generators):
-            if position == index:
-                continue
-            if position < index:
-                # Earlier positions: old facts only, so a substitution
-                # with several delta facts is found at exactly one index.
-                if isinstance(literal, PredLit):
-                    substitutions = extend_with_literal(
-                        literal,
-                        substitutions,
-                        interp,
-                        neg,
-                        budget,
-                        exclude_facts=delta.preds.get(literal.name),
-                    )
-                else:
-                    substitutions = extend_with_literal(
-                        literal,
-                        substitutions,
-                        interp,
-                        neg,
-                        budget,
-                        exclude_pairs=delta.funcs.get(literal.func),
-                    )
-            else:
-                substitutions = extend_with_literal(
-                    literal, substitutions, interp, neg, budget
-                )
-            if not substitutions:
-                break
-        if not substitutions:
-            continue
-        for literal in filters:
-            substitutions = extend_with_literal(
-                literal, substitutions, interp, neg, budget
-            )
-            if not substitutions:
-                break
-        results.extend(substitutions)
-    return results
-
-
-def _delta_substitutions_kernel(
-    rule: Rule,
-    generators: list,
-    interp: Interp,
-    delta: Delta,
-    budget: Budget,
-    neg: Interp,
-    mode: str,
-) -> list:
-    """Kernel-backed delta pass: one cached kernel per seed occurrence."""
     results: list = []
     cache = interp.kernels()
     for index, delta_literal in enumerate(generators):
@@ -253,10 +168,7 @@ def _delta_substitutions_kernel(
         if not seeds:
             continue
         kernel = cache.kernel(rule, seed=index)
-        if mode == "compiled":
-            results.extend(kernel.run(seeds, neg, budget, delta=delta))
-        else:
-            results.extend(kernel.run_interpreted(seeds, neg, budget, delta=delta))
+        results.extend(kernel.run(seeds, neg, budget, delta=delta))
     return results
 
 
@@ -343,13 +255,13 @@ def seminaive_fixpoint(
             return not delta.empty()
         delta = state["delta"]
         new_delta = Delta()
-        for rule, (preds, funcs, generators, filters) in zip(rules, profiles):
+        for rule, (preds, funcs, generators) in zip(rules, profiles):
             if not generators:
                 continue  # ground bodies were settled in round 1
             if not delta.touches(preds, funcs):
                 continue  # rule-body index: no delta fact feeds this rule
             substitutions = _delta_substitutions(
-                rule, generators, filters, interp, delta, budget, neg
+                rule, generators, interp, delta, budget, neg
             )
             for subst in substitutions:
                 _apply_consequence(
@@ -397,7 +309,7 @@ def seminaive_inflationary_fixpoint(
         delta = state["delta"]
         pending = []
         for rule, profile, full_rerun in zip(rules, profiles, unsafe):
-            preds, funcs, generators, filters = profile
+            preds, funcs, generators = profile
             if not generators:
                 continue  # ground bodies: decided in round 1 (negation
                 # only flips true->false as the interpretation grows)
@@ -408,7 +320,7 @@ def seminaive_inflationary_fixpoint(
             if not delta.touches(preds, funcs):
                 continue
             for subst in _delta_substitutions(
-                rule, generators, filters, interp, delta, budget, interp
+                rule, generators, interp, delta, budget, interp
             ):
                 pending.append(_consequence(rule, subst, interp))
         delta = Delta()

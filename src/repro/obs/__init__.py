@@ -3,17 +3,17 @@
 Before this package the system's telemetry was five incompatible
 ad-hoc surfaces: ``engine/ops.OpStats``, ``engine/intern.InternStats``,
 the memo/plan-LRU counters in ``query/session.py``, the kernel-cache
-counters in ``deductive/kernels.py``, the store counters, and
-``serve/metrics.py`` + ``serve/trace.py`` — each with its own naming,
-snapshot shape, and thread-safety story.  ``repro.obs`` is the single
+counters in ``deductive/kernels.py``, the store counters, and the
+serving layer's private metrics and trace records — each with its own
+naming, snapshot shape, and thread-safety story.  ``repro.obs`` is the single
 subsystem they all report into:
 
 * :mod:`~repro.obs.metrics` — the thread-safe
   :class:`MetricsRegistry`: counters / gauges / histograms under
   namespaced dotted names (``serve.queries.accepted``,
-  ``engine.intern.hits``), legacy-alias support for byte-compatible
-  STATS keys, and pull-time *collectors* so subsystems with their own
-  counters never double-account.  :func:`flatten` / :func:`nest` are
+  ``engine.intern.hits``) — one name per reading — and pull-time
+  *collectors* so subsystems with their own counters never
+  double-account.  :func:`flatten` / :func:`nest` are
   the only bridge between nested stats dicts and the dotted schema.
 * :mod:`~repro.obs.span` — lightweight span tracing: ``parse → plan →
   execute → fixpoint-round`` and ``commit`` spans with monotonic

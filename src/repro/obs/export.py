@@ -12,8 +12,6 @@ snapshot`'s dotted-key schema — there is no second accounting path:
   (``serve.queries.accepted`` → ``repro_serve_queries_accepted``);
   counters and gauges render one sample line, histograms render
   cumulative ``_bucket{le="..."}`` lines plus ``_sum`` and ``_count``.
-  Legacy aliases are *not* exported — Prometheus families come from
-  canonical names only, so each reading appears exactly once.
   Collector readings render as untyped samples (numbers only;
   non-numeric collector leaves are skipped — Prometheus has no string
   samples).
@@ -82,9 +80,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"{family}_sum {_format_value(instrument.total)}")
             lines.append(f"{family}_count {instrument.count}")
     # Collector readings (and nothing already rendered above): numeric
-    # leaves only, exported as untyped samples.  Legacy aliases are
-    # duplicates of canonical families and stay JSON-only.
-    seen |= set(registry.aliases())
+    # leaves only, exported as untyped samples.
     snapshot = registry.snapshot()
     for name in sorted(snapshot):
         if name in seen:

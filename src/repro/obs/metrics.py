@@ -23,19 +23,13 @@ shadowing.
 Names are **namespaced dotted paths** (``serve.queries.accepted``,
 ``engine.intern.hits``, ``store.wal.appends``) — the one schema every
 exporter renders from (README "Observability" documents the full
-table).  Two redesign-era features make the registry the single sink:
-
-* **Legacy aliases** — an instrument may carry alternate names
-  (``counter("serve.queries.accepted", alias="queries_accepted")``):
-  lookups under either name return the same instrument and snapshots
-  emit both keys, so pre-redesign STATS consumers keep reading the flat
-  keys byte-for-byte while new consumers get the namespaced ones.
-* **Collectors** — subsystems that already keep their own thread-safe
-  counters (the interner, the memo cache, the plan LRU, a durable
-  store) register a zero-argument callable under a prefix instead of
-  double-counting into instruments; :meth:`MetricsRegistry.snapshot`
-  polls them and merges their readings under ``prefix.*`` dotted keys.
-  Collection happens at snapshot time only — the hot path pays nothing.
+table); each reading appears under exactly one name.  Subsystems that
+already keep their own thread-safe counters (the interner, the memo
+cache, the plan LRU, a durable store) register a zero-argument
+**collector** under a prefix instead of double-counting into
+instruments; :meth:`MetricsRegistry.snapshot` polls them and merges
+their readings under ``prefix.*`` dotted keys.  Collection happens at
+snapshot time only — the hot path pays nothing.
 
 :func:`flatten` and :func:`nest` convert between nested stats dicts and
 the flat dotted-key schema; they are the *only* bridge, so every
@@ -236,60 +230,37 @@ def nest(flat: Mapping, prefix: str = "") -> dict:
 class MetricsRegistry:
     """Named instruments plus polled collectors, snapshot as one dict.
 
-    Instruments are created on first use under their canonical dotted
-    name; ``alias=`` registers a legacy flat name resolving to the same
-    instrument (and emitted alongside it in snapshots).  Collectors are
-    zero-argument callables returning a (possibly nested) stats dict,
-    polled at snapshot time and merged under their prefix.
+    Instruments are created on first use under their dotted name.
+    Collectors are zero-argument callables returning a (possibly
+    nested) stats dict, polled at snapshot time and merged under their
+    prefix.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict = {}
-        self._aliases: dict = {}
         self._collectors: dict = {}
 
-    def _instrument(self, name: str, alias: str | None, kind, *args):
+    def _instrument(self, name: str, kind, *args):
         with self._lock:
-            name = self._aliases.get(name, name)
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, kind):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}, not {kind.__name__}"
-                    )
-                instrument = existing
-            else:
-                instrument = kind(*args)
-                self._metrics[name] = instrument
-            if alias is not None and alias != name:
-                claimed = self._aliases.get(alias)
-                if claimed is not None and claimed != name:
-                    raise ValueError(
-                        f"alias {alias!r} already points at {claimed!r}"
-                    )
-                if alias in self._metrics:
-                    raise ValueError(
-                        f"alias {alias!r} shadows a registered metric"
-                    )
-                self._aliases[alias] = name
+            instrument = self._metrics.get(name)
+            if instrument is None:
+                instrument = self._metrics[name] = kind(*args)
+            elif not isinstance(instrument, kind):
+                raise TypeError(
+                    f"metric {name!r} already registered as "
+                    f"{type(instrument).__name__}, not {kind.__name__}"
+                )
             return instrument
 
-    def counter(self, name: str, *, alias: str | None = None) -> Counter:
-        return self._instrument(name, alias, Counter)
+    def counter(self, name: str) -> Counter:
+        return self._instrument(name, Counter)
 
-    def gauge(self, name: str, *, alias: str | None = None) -> Gauge:
-        return self._instrument(name, alias, Gauge)
+    def gauge(self, name: str) -> Gauge:
+        return self._instrument(name, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple = DEFAULT_BUCKETS,
-        *,
-        alias: str | None = None,
-    ) -> Histogram:
-        return self._instrument(name, alias, Histogram, buckets)
+    def histogram(self, name: str, buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
+        return self._instrument(name, Histogram, buckets)
 
     def register_collector(self, prefix: str, collect: Callable[[], Mapping]) -> None:
         """Poll *collect* at snapshot time, merged under ``prefix.*``.
@@ -307,31 +278,19 @@ class MetricsRegistry:
             self._collectors.pop(prefix, None)
 
     def instruments(self) -> list:
-        """``(canonical name, instrument)`` pairs, sorted by name."""
+        """``(name, instrument)`` pairs, sorted by name."""
         with self._lock:
             return sorted(self._metrics.items())
-
-    def aliases(self) -> dict:
-        """``alias -> canonical name`` (legacy flat STATS keys)."""
-        with self._lock:
-            return dict(self._aliases)
 
     def snapshot(self) -> dict:
         """Every instrument and collector reading, sorted by key.
 
-        Canonical dotted names carry the readings; legacy aliases are
-        emitted alongside with identical values (byte-compatible with
-        the pre-redesign flat STATS keys).  Collector output is
-        flattened under the collector's prefix.
+        Collector output is flattened under the collector's prefix.
         """
         with self._lock:
             items = sorted(self._metrics.items())
-            aliases = sorted(self._aliases.items())
             collectors = sorted(self._collectors.items())
         snap = {name: instrument.snapshot() for name, instrument in items}
-        for alias, canonical in aliases:
-            if canonical in snap:
-                snap[alias] = snap[canonical]
         # Collectors run outside the registry lock: they read other
         # subsystems' locks and must never nest inside ours.
         for prefix, collect in collectors:

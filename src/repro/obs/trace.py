@@ -1,4 +1,4 @@
-"""Per-request trace records (moved here from ``repro.serve.trace``).
+"""Per-request trace records.
 
 Each request the :class:`~repro.serve.service.QueryService` admits gets
 one :class:`RequestTrace` carrying its whole lifecycle: admission

@@ -43,7 +43,6 @@ BACKEND_RANK = (
     "col-inflationary",
     "bk-hashjoin",
     "calculus",
-    "bk-dirty",
     "col-naive",
     "bk-naive",
     "gtm",
@@ -69,7 +68,6 @@ FACT_DRIVEN = frozenset(
         "col-inflationary",
         "col-naive",
         "bk-hashjoin",
-        "bk-dirty",
         "bk-naive",
     }
 )
@@ -548,18 +546,17 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
 def _bk_candidates(query: BKQuery, database: Database, profile):
     from ..deductive.bk import run_bk
 
-    def runner(mode):
-        def run(db, budget, trace=None, _p=query.program, _m=mode):
+    def runner(naive):
+        def run(db, budget, trace=None, _p=query.program, _n=naive):
             mapping = {name: db[name].items for name in db}
-            return run_bk(_p, mapping, budget, mode=_m, trace=trace)
+            return run_bk(_p, mapping, budget, naive=_n, trace=trace)
 
         return run
 
     base = bk_cost(query.program, profile)
     candidates = [
-        Candidate("bk-hashjoin", base, "semi-naive with per-predicate hash indexes", runner("hashjoin")),
-        Candidate("bk-dirty", _cap(base * 3), "dirty-predicate rule index", runner("dirty")),
-        Candidate("bk-naive", _cap(base * 9), "every rule, every round", runner("naive")),
+        Candidate("bk-hashjoin", base, "semi-naive with per-predicate hash indexes", runner(False)),
+        Candidate("bk-naive", _cap(base * 9), "every rule, every round", runner(True)),
     ]
     return candidates, []
 

@@ -32,11 +32,11 @@ from .planner import FACT_DRIVEN, ExecutionReport, Plan, build_plan, execute_pla
 
 #: Backend groups a materialized view answers for.  A delta-safe COL
 #: program is one monotone stratum, so its stratified, inflationary,
-#: and naive fixpoints coincide; BK's three drivers agree by
+#: and naive fixpoints coincide; BK's two drivers agree by
 #: construction.  The compiled/whole-database routes re-encode the full
 #: database and are served normally.
 _COL_VIEW_BACKENDS = frozenset({"col-stratified", "col-inflationary", "col-naive"})
-_BK_VIEW_BACKENDS = frozenset({"bk-hashjoin", "bk-dirty", "bk-naive"})
+_BK_VIEW_BACKENDS = frozenset({"bk-hashjoin", "bk-naive"})
 
 
 def _program_predicates(query, schema) -> frozenset:

@@ -9,12 +9,9 @@ shared engine.  Pieces:
   controller (queue-depth cap → fast retryable rejection, FIFO within
   priority classes), and per-request wall-clock deadlines carried by
   :class:`~repro.engine.deadline.DeadlineBudget` sub-budgets;
-* observability now lives in :mod:`repro.obs` — the metrics registry
-  (namespaced dotted names + legacy aliases), span tracing, the
-  bounded per-request trace log (with PR 4 physical operator trees),
-  and the slow-query log; the old ``repro.serve.metrics`` /
-  ``repro.serve.trace`` deep imports keep working as deprecated
-  re-export shims;
+* observability lives in :mod:`repro.obs` — the metrics registry
+  (namespaced dotted names), span tracing, the bounded per-request
+  trace log (with physical operator trees), and the slow-query log;
 * :mod:`~repro.serve.protocol` / :mod:`~repro.serve.server` /
   :mod:`~repro.serve.client` — the newline-delimited JSON wire
   protocol (PING / QUERY / EXPLAIN / LOAD / STATS / METRICS / UPDATE /

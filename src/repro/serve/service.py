@@ -27,10 +27,9 @@ library call does not:
   queued is timed out without running at all.
 * **Observability** — a :class:`~repro.obs.metrics.MetricsRegistry`
   (lifecycle counters, queue-wait and execution-latency histograms,
-  queue-depth and in-flight gauges, namespaced dotted names with the
-  pre-redesign flat keys as aliases), a bounded
-  :class:`~repro.obs.trace.TraceLog` of per-request records including
-  the PR 4 physical operator tree, span tracing around each request
+  queue-depth and in-flight gauges, all under namespaced dotted
+  names), a bounded :class:`~repro.obs.trace.TraceLog` of per-request
+  records including the physical operator tree, span tracing around each request
   (:mod:`repro.obs.span`), and a :class:`~repro.obs.slowlog.SlowQueryLog`
   capturing the EXPLAIN ANALYZE physical tree of requests over a
   configurable threshold.  :meth:`QueryService.stats` renders it all
@@ -48,9 +47,10 @@ and ``UPDATE`` requests commit through each database's write-ahead log
 before the session's caches and materialized views are maintained
 incrementally.  Writes are serialized **per database** (single-writer)
 while queries against other databases proceed; the store's counters
-(``wal_appends``, ``wal_bytes``, ``snapshots``, ``recoveries``,
-``incremental_rounds``, ``invalidations``) surface in STATS next to a
-``state_sha256`` of each database's canonical bytes.
+(``store.wal.appends``, ``store.wal.bytes``, ``store.snapshots``,
+``store.recoveries``, ``store.incremental_rounds``,
+``store.invalidations``) surface in STATS next to a ``state_sha256`` of
+each database's canonical bytes.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from ..errors import BudgetExceeded, ReproError, UNDEFINED
 from ..model.schema import Database
 from ..catalog import Catalog
 from ..catalog.policy import priority_hint
-from ..obs.metrics import MetricsRegistry, nest
+from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
 from ..obs.span import span
 from ..obs.trace import RequestTrace, TraceLog
@@ -174,7 +174,7 @@ class RequestOutcome:
 
     ``status`` is ``"ok"`` / ``"timeout"`` / ``"error"`` / ``"closed"``;
     ``result`` is the query's value (possibly ``?``) when ``ok``;
-    ``trace`` is the request's :class:`~repro.serve.trace.RequestTrace`.
+    ``trace`` is the request's :class:`~repro.obs.trace.RequestTrace`.
     """
 
     __slots__ = ("status", "result", "trace", "error", "seconds")
@@ -335,43 +335,26 @@ class QueryService:
             threshold_ms=slow_query_ms, max_entries=slow_query_entries
         )
         # Instruments exist from the start so STATS shows zeros, not
-        # gaps.  Canonical names are namespaced dotted paths; the alias
-        # is the pre-redesign flat STATS key, emitted byte-compatibly
-        # alongside (see README "Observability" for the schema table).
-        for canonical, alias in (
-            ("serve.queries.accepted", "queries_accepted"),
-            ("serve.queries.rejected", "queries_rejected"),
-            ("serve.queries.started", "queries_started"),
-            ("serve.queries.completed", "queries_completed"),
-            ("serve.queries.timed_out", "queries_timed_out"),
-            ("serve.queries.failed", "queries_failed"),
-            ("serve.queries.closed", "queries_closed"),
-            ("serve.queries.slow", None),
-            ("serve.updates.applied", "updates_applied"),
-            ("deductive.kernels.hits", "kernel_cache_hits"),
-            ("deductive.kernels.misses", "kernel_cache_misses"),
-            ("deductive.kernels.invalidations", "kernel_cache_invalidations"),
-            ("store.wal.appends", "wal_appends"),
-            ("store.wal.bytes", "wal_bytes"),
-            ("store.snapshots", "snapshots"),
-            ("store.recoveries", "recoveries"),
-            ("store.incremental_rounds", "incremental_rounds"),
-            ("store.invalidations", "invalidations"),
-        ):
-            self.metrics.counter(canonical, alias=alias)
+        # gaps (see README "Observability" for the schema table).
         for name in (
+            "serve.queries.accepted", "serve.queries.rejected",
+            "serve.queries.started", "serve.queries.completed",
+            "serve.queries.timed_out", "serve.queries.failed",
+            "serve.queries.closed", "serve.queries.slow",
+            "serve.updates.applied",
+            "deductive.kernels.hits", "deductive.kernels.misses",
+            "deductive.kernels.invalidations",
+            "store.wal.appends", "store.wal.bytes", "store.snapshots",
+            "store.recoveries", "store.incremental_rounds",
+            "store.invalidations",
             "engine.ops.rows_in", "engine.ops.rows_out", "engine.ops.probes",
             "engine.ops.index_builds", "engine.ops.rounds",
         ):
             self.metrics.counter(name)
-        self.metrics.histogram(
-            "serve.queue.wait_seconds", alias="queue_wait_seconds"
-        )
-        self.metrics.histogram(
-            "serve.execution_seconds", alias="execution_seconds"
-        )
-        self.metrics.gauge("serve.queue.depth", alias="queue_depth")
-        self.metrics.gauge("serve.in_flight", alias="in_flight")
+        self.metrics.histogram("serve.queue.wait_seconds")
+        self.metrics.histogram("serve.execution_seconds")
+        self.metrics.gauge("serve.queue.depth")
+        self.metrics.gauge("serve.in_flight")
         # Subsystems with their own thread-safe counters report through
         # pull-time collectors — one sink, no double accounting.
         self.metrics.register_collector(
@@ -396,7 +379,7 @@ class QueryService:
                 self.load(name, seeds.get(name))
             for counters in self.store.stats().values():
                 for key in ("recoveries", "snapshots"):
-                    self.metrics.counter(key).inc(counters[key])
+                    self.metrics.counter(f"store.{key}").inc(counters[key])
         else:
             for name, database in seeds.items():
                 self.load(name, database)
@@ -507,7 +490,7 @@ class QueryService:
             if self._closed:
                 raise ServiceClosed()
             if len(self._queue) >= self.max_queue_depth:
-                self.metrics.counter("queries_rejected").inc()
+                self.metrics.counter("serve.queries.rejected").inc()
                 raise AdmissionRejected(self.max_queue_depth)
             trace = self.traces.begin(db, text, priority, now)
             pending = _Pending()
@@ -521,8 +504,8 @@ class QueryService:
                 pending=pending,
             )
             heapq.heappush(self._queue, (priority, next(self._seq), ticket))
-            self.metrics.counter("queries_accepted").inc()
-            self.metrics.gauge("queue_depth").set(len(self._queue))
+            self.metrics.counter("serve.queries.accepted").inc()
+            self.metrics.gauge("serve.queue.depth").set(len(self._queue))
             self._cond.notify()
         return pending
 
@@ -580,7 +563,7 @@ class QueryService:
             if self._closed:
                 raise ServiceClosed()
             if len(self._queue) >= self.max_queue_depth:
-                self.metrics.counter("queries_rejected").inc()
+                self.metrics.counter("serve.queries.rejected").inc()
                 raise AdmissionRejected(self.max_queue_depth)
             trace = self.traces.begin(db, summary, priority, now)
             pending = _Pending()
@@ -596,8 +579,8 @@ class QueryService:
                 payload=(asserts or {}, retracts or {}),
             )
             heapq.heappush(self._queue, (priority, next(self._seq), ticket))
-            self.metrics.counter("queries_accepted").inc()
-            self.metrics.gauge("queue_depth").set(len(self._queue))
+            self.metrics.counter("serve.queries.accepted").inc()
+            self.metrics.gauge("serve.queue.depth").set(len(self._queue))
             self._cond.notify()
         return pending
 
@@ -632,7 +615,7 @@ class QueryService:
         with self._writer_lock(db):
             durable = self.store.get(db)
             path = durable.snapshot()
-            self.metrics.counter("snapshots").inc()
+            self.metrics.counter("store.snapshots").inc()
             return {
                 "db": db,
                 "lsn": durable.lsn,
@@ -649,7 +632,7 @@ class QueryService:
             if not self._queue:
                 return None  # closed and drained
             _, _, ticket = heapq.heappop(self._queue)
-            self.metrics.gauge("queue_depth").set(len(self._queue))
+            self.metrics.gauge("serve.queue.depth").set(len(self._queue))
             return ticket
 
     def _worker(self) -> None:
@@ -657,11 +640,11 @@ class QueryService:
             ticket = self._next_ticket()
             if ticket is None:
                 return
-            self.metrics.gauge("in_flight").inc()
+            self.metrics.gauge("serve.in_flight").inc()
             try:
                 self._run_ticket(ticket)
             finally:
-                self.metrics.gauge("in_flight").dec()
+                self.metrics.gauge("serve.in_flight").dec()
 
     def _request_budget(self, ticket: _Ticket) -> Budget:
         child = self._budget.child()
@@ -677,16 +660,16 @@ class QueryService:
         trace = ticket.trace
         now = time.monotonic()
         trace.started_at = self.traces.relative(now)
-        self.metrics.counter("queries_started").inc()
+        self.metrics.counter("serve.queries.started").inc()
         wait = trace.queue_wait()
         if wait is not None:
-            self.metrics.histogram("queue_wait_seconds").observe(wait)
+            self.metrics.histogram("serve.queue.wait_seconds").observe(wait)
 
         if ticket.deadline is not None and now >= ticket.deadline:
             trace.finished_at = trace.started_at
             trace.outcome = "timeout"
             trace.cause = "queue"
-            self.metrics.counter("queries_timed_out").inc()
+            self.metrics.counter("serve.queries.timed_out").inc()
             ticket.pending.complete(
                 RequestOutcome("timeout", UNDEFINED, trace, seconds=ticket.seconds)
             )
@@ -747,7 +730,7 @@ class QueryService:
         trace.error = error
         execution = trace.execution_seconds()
         if execution is not None:
-            self.metrics.histogram("execution_seconds").observe(execution)
+            self.metrics.histogram("serve.execution_seconds").observe(execution)
         if self.slow_queries.record(
             ticket.db,
             ticket.text,
@@ -759,11 +742,11 @@ class QueryService:
         ):
             self.metrics.counter("serve.queries.slow").inc()
         if status == "ok":
-            self.metrics.counter("queries_completed").inc()
+            self.metrics.counter("serve.queries.completed").inc()
         elif status == "timeout":
-            self.metrics.counter("queries_timed_out").inc()
+            self.metrics.counter("serve.queries.timed_out").inc()
         else:
-            self.metrics.counter("queries_failed").inc()
+            self.metrics.counter("serve.queries.failed").inc()
         ticket.pending.complete(
             RequestOutcome(status, result, trace, error, seconds=ticket.seconds)
         )
@@ -795,12 +778,12 @@ class QueryService:
                         commit.database, commit.delta, commit.lsn,
                     )
                     if commit.bytes_appended:
-                        self.metrics.counter("wal_appends").inc()
-                        self.metrics.counter("wal_bytes").inc(
+                        self.metrics.counter("store.wal.appends").inc()
+                        self.metrics.counter("store.wal.bytes").inc(
                             commit.bytes_appended
                         )
                     if commit.compacted:
-                        self.metrics.counter("snapshots").inc()
+                        self.metrics.counter("store.snapshots").inc()
                 else:
                     new_database, delta = apply_ops(
                         session.database, asserts, retracts
@@ -808,11 +791,11 @@ class QueryService:
                     lsn = None
                 maintenance = session.apply_delta(new_database, delta)
             plus, minus = delta.counts()
-            self.metrics.counter("updates_applied").inc()
-            self.metrics.counter("incremental_rounds").inc(
+            self.metrics.counter("serve.updates.applied").inc()
+            self.metrics.counter("store.incremental_rounds").inc(
                 maintenance["incremental_rounds"]
             )
-            self.metrics.counter("invalidations").inc(
+            self.metrics.counter("store.invalidations").inc(
                 maintenance["invalidations"]
             )
             trace.backend = "store" if durable is not None else "memory"
@@ -832,11 +815,11 @@ class QueryService:
         trace.error = error
         execution = trace.execution_seconds()
         if execution is not None:
-            self.metrics.histogram("execution_seconds").observe(execution)
+            self.metrics.histogram("serve.execution_seconds").observe(execution)
         if status == "ok":
-            self.metrics.counter("queries_completed").inc()
+            self.metrics.counter("serve.queries.completed").inc()
         else:
-            self.metrics.counter("queries_failed").inc()
+            self.metrics.counter("serve.queries.failed").inc()
         ticket.pending.complete(
             RequestOutcome(status, result, trace, error, seconds=ticket.seconds)
         )
@@ -882,12 +865,11 @@ class QueryService:
     def stats(self, trace_limit: int | None = 16) -> dict:
         """One JSON-ready snapshot of the whole service's state.
 
-        Every counter block here renders from **one**
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` call — the
-        flat dotted-key schema under ``"metrics"`` is the source of
-        truth, and the legacy nested sections (``databases[*].memo``,
-        ``interner``) are :func:`~repro.obs.metrics.nest` views of the
-        same readings, byte-compatible with pre-redesign consumers.
+        Every counter lives under ``"metrics"``, the flat dotted-key
+        schema of one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+        call (per-database memo and plan counters as ``db.<name>.*``).
+        ``databases[name]`` carries the database's shape, its catalog,
+        and, when durable, its ``store`` section.
         """
         with self._cond:
             queue_depth = len(self._queue)
@@ -899,16 +881,12 @@ class QueryService:
         for name, session in sorted(sessions.items()):
             catalog = Catalog.for_database(session.database)
             profile = catalog.profile()
-            section = nest(snapshot, f"db.{name}")
-            section.update(
-                {
-                    "facts": profile["total_facts"],
-                    "adom": profile["adom"],
-                    "max_depth": profile["max_depth"],
-                    "catalog": catalog.snapshot(),
-                }
-            )
-            databases[name] = section
+            databases[name] = {
+                "facts": profile["total_facts"],
+                "adom": profile["adom"],
+                "max_depth": profile["max_depth"],
+                "catalog": catalog.snapshot(),
+            }
             if self.store is not None and name in self.store.names():
                 durable = self.store.get(name)
                 databases[name]["store"] = {
@@ -929,7 +907,6 @@ class QueryService:
             },
             "metrics": snapshot,
             "databases": databases,
-            "interner": nest(snapshot, "engine.intern"),
             "slow_queries": self.slow_queries.tail(trace_limit),
             "traces": self.traces.tail(trace_limit),
         }
@@ -957,7 +934,7 @@ class QueryService:
                         ticket.pending.complete(
                             RequestOutcome("closed", UNDEFINED, ticket.trace)
                         )
-                    self.metrics.gauge("queue_depth").set(0)
+                    self.metrics.gauge("serve.queue.depth").set(0)
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()

@@ -7,8 +7,8 @@ from repro.obs import MetricsRegistry, render_json, render_prometheus, sanitize_
 
 def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("serve.queries.accepted", alias="queries_accepted").inc(3)
-    registry.gauge("serve.in_flight", alias="in_flight").set(1)
+    registry.counter("serve.queries.accepted").inc(3)
+    registry.gauge("serve.in_flight").set(1)
     registry.histogram("serve.execution_seconds", buckets=(0.1, 1.0)).observe(0.05)
     registry.register_collector(
         "db.main", lambda: {"memo": {"hits": 2}, "label": "not-a-number"}
@@ -25,10 +25,6 @@ class TestJson:
         )
         # Deterministic across renders of the same state.
         assert render_json(registry) == text
-
-    def test_includes_alias_keys(self):
-        data = json.loads(render_json(populated_registry()))
-        assert data["queries_accepted"] == data["serve.queries.accepted"] == 3
 
 
 class TestPrometheus:
@@ -48,9 +44,10 @@ class TestPrometheus:
         assert 'repro_serve_execution_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_serve_execution_seconds_count 1" in text
 
-    def test_aliases_are_not_exported_twice(self):
+    def test_each_family_exported_once(self):
         text = render_prometheus(populated_registry())
-        assert "repro_queries_accepted" not in text
+        families = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")]
+        assert len(families) == len(set(families))
         assert text.count("repro_serve_queries_accepted 3") == 1
 
     def test_collector_numeric_leaves_export_untyped(self):

@@ -1,49 +1,25 @@
-"""The redesigned registry: aliases, collectors, the flatten/nest bridge."""
+"""The registry: one name per instrument, collectors, the flatten/nest
+bridge, and the package surface that exports it."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.obs import MetricsRegistry, get_registry, reset_registry, set_registry
 from repro.obs.metrics import flatten, nest
 
+REPO_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
-class TestAliases:
-    def test_alias_resolves_to_the_same_instrument(self):
-        registry = MetricsRegistry()
-        canonical = registry.counter("serve.queries.accepted", alias="queries_accepted")
-        assert registry.counter("queries_accepted") is canonical
-        assert registry.counter("serve.queries.accepted") is canonical
 
-    def test_snapshot_emits_both_keys_with_equal_values(self):
+class TestNames:
+    def test_snapshot_emits_one_key_per_instrument(self):
         registry = MetricsRegistry()
-        registry.counter("serve.queries.accepted", alias="queries_accepted").inc(3)
-        snap = registry.snapshot()
-        assert snap["serve.queries.accepted"] == 3
-        assert snap["queries_accepted"] == 3
-
-    def test_alias_conflict_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b", alias="legacy")
-        with pytest.raises(ValueError):
-            registry.counter("c.d", alias="legacy")
-
-    def test_alias_shadowing_a_metric_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("taken")
-        with pytest.raises(ValueError):
-            registry.counter("x.y", alias="taken")
-
-    def test_kind_mismatch_through_an_alias(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b", alias="legacy")
-        with pytest.raises(TypeError):
-            registry.gauge("legacy")
-
-    def test_aliases_listing(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b", alias="legacy")
-        assert registry.aliases() == {"legacy": "a.b"}
+        registry.counter("serve.queries.accepted").inc(3)
+        registry.counter("serve.queries.accepted").inc()
+        assert registry.snapshot() == {"serve.queries.accepted": 4}
 
 
 class TestCollectors:
@@ -133,3 +109,41 @@ class TestProcessWideRegistry:
             assert get_registry() is mine
         finally:
             reset_registry()
+
+
+class TestPackageSurface:
+    def test_serve_package_does_not_warn(self):
+        # A subprocess keeps this hermetic: reloading ``repro.serve``
+        # in-process would desync the package object other tests hold.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::DeprecationWarning",
+                "-c",
+                "import repro.serve",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_top_level_exports(self):
+        import repro
+
+        for name in (
+            "QueryService",
+            "ServeClient",
+            "DurableDatabase",
+            "Store",
+            "Catalog",
+            "MetricsRegistry",
+            "SlowQueryLog",
+            "enable_tracing",
+            "get_registry",
+            "render_prometheus",
+        ):
+            assert hasattr(repro, name), name
+            assert name in repro.__all__

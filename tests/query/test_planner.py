@@ -58,7 +58,7 @@ class TestCandidates:
 
     def test_bk_mode_ordering(self):
         plan = _plan("bk { A(x) :- S(x). } answer A")
-        assert plan.backends() == ("bk-hashjoin", "bk-dirty", "bk-naive")
+        assert plan.backends() == ("bk-hashjoin", "bk-naive")
 
     def test_gtm_routes_ordered_by_simulation_overhead(self):
         schema = Schema({"R": parse_type("U")})

@@ -68,7 +68,6 @@ class TestServeCliSmoke:
 
             stats = client.stats()
             assert stats["metrics"]["serve.queries.completed"] == 1
-            assert stats["metrics"]["queries_completed"] == 1  # legacy alias
             # --slow-query-ms 0 records every finished query.
             assert stats["metrics"]["serve.queries.slow"] == 1
             (slow,) = stats["slow_queries"]

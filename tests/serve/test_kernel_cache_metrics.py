@@ -20,7 +20,7 @@ def _kernel_counters(service) -> dict:
     return {
         name: value
         for name, value in metrics.items()
-        if name.startswith("kernel_cache_")
+        if name.startswith("deductive.kernels.")
     }
 
 
@@ -30,9 +30,9 @@ class TestKernelCacheCounters:
         try:
             counters = _kernel_counters(service)
             assert counters == {
-                "kernel_cache_hits": 0,
-                "kernel_cache_misses": 0,
-                "kernel_cache_invalidations": 0,
+                "deductive.kernels.hits": 0,
+                "deductive.kernels.misses": 0,
+                "deductive.kernels.invalidations": 0,
             }
         finally:
             service.close()
@@ -45,14 +45,14 @@ class TestKernelCacheCounters:
             counters = _kernel_counters(service)
             # Every kernel is compiled once (misses) and the recursive
             # rule re-enters the cache on later rounds (hits).
-            assert counters["kernel_cache_misses"] > 0
-            assert counters["kernel_cache_hits"] > 0
+            assert counters["deductive.kernels.misses"] > 0
+            assert counters["deductive.kernels.hits"] > 0
 
             before = counters
             outcome = service.query("main", RULES_JOIN)
             assert outcome.status == "ok"
             after = _kernel_counters(service)
-            assert after["kernel_cache_misses"] > before["kernel_cache_misses"]
+            assert after["deductive.kernels.misses"] > before["deductive.kernels.misses"]
         finally:
             service.close()
 

@@ -46,7 +46,7 @@ class TestRoundtrips:
     def test_stats(self, client):
         client.query("main", "{ x | S(x) }")
         stats = client.stats()
-        assert stats["metrics"]["queries_completed"] == 1
+        assert stats["metrics"]["serve.queries.completed"] == 1
         assert stats["service"]["accepting"]
 
     def test_load_then_query(self, client):
@@ -74,7 +74,7 @@ class TestRoundtrips:
         assert len(results) == 20
         assert set(results) == {"SetVal([Atom('a'), Atom('c')])"}
         stats = ServeClient(host, port).stats()
-        assert stats["databases"]["main"]["memo"]["hits"] >= 19
+        assert stats["metrics"]["db.main.memo.hits"] >= 19
 
 
 class TestErrorsOverTheWire:

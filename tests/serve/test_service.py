@@ -122,7 +122,7 @@ class TestBasics:
             )
             assert outcome.status == "ok"
             assert is_undefined(outcome.result)
-            assert service.metrics.counter("queries_failed").value == 0
+            assert service.metrics.counter("serve.queries.failed").value == 0
         finally:
             service.close()
 
@@ -144,7 +144,7 @@ class TestBasics:
             assert outcome.status == "ok"
             assert is_undefined(outcome.result)
             assert outcome.trace.cause == "budget:steps"
-            assert service.metrics.counter("queries_failed").value == 0
+            assert service.metrics.counter("serve.queries.failed").value == 0
         finally:
             service.close()
 
@@ -161,7 +161,7 @@ class TestAdmissionControl:
                 service.submit("block", "x")
             assert exc_info.value.retryable
             assert exc_info.value.code == "rejected"
-            assert service.metrics.counter("queries_rejected").value == 1
+            assert service.metrics.counter("serve.queries.rejected").value == 1
             # Release: everything admitted still completes — no deadlock.
             blocker.release.set()
             for pending in occupiers + queued:
@@ -248,7 +248,7 @@ class TestDeadlines:
             with pytest.raises(RequestTimeout):
                 outcome.raise_for_status()
             occupier.wait(timeout=30)
-            assert service.metrics.counter("queries_timed_out").value == 1
+            assert service.metrics.counter("serve.queries.timed_out").value == 1
         finally:
             blocker.release.set()
             service.close()
@@ -342,25 +342,22 @@ class TestClosedLoopConcurrency:
 
             total = self.THREADS * len(BANK)
             metrics = service.metrics
-            assert metrics.counter("queries_accepted").value == total
-            assert metrics.counter("queries_started").value == total
-            assert metrics.counter("queries_completed").value == total
-            assert metrics.counter("queries_timed_out").value == 0
-            assert metrics.counter("queries_failed").value == 0
-            assert metrics.counter("queries_rejected").value == 0
-            assert metrics.histogram("execution_seconds").count == total
+            assert metrics.counter("serve.queries.accepted").value == total
+            assert metrics.counter("serve.queries.started").value == total
+            assert metrics.counter("serve.queries.completed").value == total
+            assert metrics.counter("serve.queries.timed_out").value == 0
+            assert metrics.counter("serve.queries.failed").value == 0
+            assert metrics.counter("serve.queries.rejected").value == 0
+            assert metrics.histogram("serve.execution_seconds").count == total
 
             # The shared caches did real cross-thread work.
             stats = service.stats()
-            memo_hits = sum(
-                entry["memo"]["hits"] for entry in stats["databases"].values()
-            )
-            plan_hits = sum(
-                entry["plans"]["hits"] for entry in stats["databases"].values()
-            )
+            metrics = stats["metrics"]
+            memo_hits = sum(metrics[f"db.{name}.memo.hits"] for name in stats["databases"])
+            plan_hits = sum(metrics[f"db.{name}.plans.hits"] for name in stats["databases"])
             assert memo_hits > 0
             assert plan_hits > 0
-            assert stats["interner"]["hits"] > 0
+            assert metrics["engine.intern.hits"] > 0
         finally:
             service.close()
 
@@ -396,10 +393,10 @@ class TestClosedLoopConcurrency:
                 thread.join(timeout=600)
             assert len(outcomes) == len(stream)
             assert all(outcome.status == "ok" for outcome in outcomes)
-            started = service.metrics.counter("queries_started").value
-            completed = service.metrics.counter("queries_completed").value
-            timed_out = service.metrics.counter("queries_timed_out").value
-            failed = service.metrics.counter("queries_failed").value
+            started = service.metrics.counter("serve.queries.started").value
+            completed = service.metrics.counter("serve.queries.completed").value
+            timed_out = service.metrics.counter("serve.queries.timed_out").value
+            failed = service.metrics.counter("serve.queries.failed").value
             assert started == len(stream)
             assert started == completed + timed_out + failed
         finally:
@@ -415,9 +412,9 @@ class TestStats:
             stats = service.stats()
             assert stats["service"]["accepting"]
             assert stats["service"]["workers"] == 1
-            assert stats["metrics"]["queries_completed"] == 2
-            assert stats["databases"]["main"]["memo"]["hits"] >= 1
-            assert stats["databases"]["main"]["plans"]["hits"] >= 1
+            assert stats["metrics"]["serve.queries.completed"] == 2
+            assert stats["metrics"]["db.main.memo.hits"] >= 1
+            assert stats["metrics"]["db.main.plans.hits"] >= 1
             traces = stats["traces"]
             assert len(traces) == 2
             assert traces[-1]["cached"] is True

@@ -120,10 +120,10 @@ class TestWireUpdate:
         client.update("main", asserts={"E": [["c", "d"]]})
         stats = client.stats()
         metrics = stats["metrics"]
-        assert metrics["updates_applied"] == 1
-        assert metrics["wal_appends"] == 1
-        assert metrics["wal_bytes"] > 0
-        assert metrics["invalidations"] >= 0
+        assert metrics["serve.updates.applied"] == 1
+        assert metrics["store.wal.appends"] == 1
+        assert metrics["store.wal.bytes"] > 0
+        assert metrics["store.invalidations"] >= 0
         store = stats["databases"]["main"]["store"]
         assert store["wal_appends"] == 1 and store["lsn"] == 1
         assert len(store["state_sha256"]) == 64
@@ -148,7 +148,7 @@ class TestDurableLifecycle:
             stats = recovered.stats()
             assert list(stats["databases"]) == ["main"]
             assert stats["databases"]["main"]["store"]["state_sha256"] == sha
-            assert stats["metrics"]["recoveries"] == 1
+            assert stats["metrics"]["store.recoveries"] == 1
             assert repr(recovered.query("main", TC).raise_for_status()) == answer
         finally:
             recovered.close()

@@ -22,7 +22,7 @@ NEGATED = "rules { P(x) :- S(x), not T(x). T(x) :- E(x, x). } answer P"
 BK_PRODUCT = "bk { A({x, y}) :- R(x), S(y). } answer A"
 
 COL_DRIVERS = ("col-stratified", "col-inflationary", "col-naive")
-BK_DRIVERS = ("bk-hashjoin", "bk-dirty", "bk-naive")
+BK_DRIVERS = ("bk-hashjoin", "bk-naive")
 
 
 def graph_db(edges, nodes=()):
