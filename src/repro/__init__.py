@@ -57,7 +57,6 @@ from . import obs
 from .catalog import Catalog
 from .obs import (
     MetricsRegistry,
-    SlowQueryLog,
     SpanRecorder,
     disable_tracing,
     enable_tracing,
@@ -89,7 +88,7 @@ __all__ = [
     "compile_gtm_to_col", "implementations_for",
     "Session", "connect", "parse", "explain", "build_plan", "execute_plan",
     "Catalog", "DurableDatabase", "QueryService", "ServeClient", "Store",
-    "MetricsRegistry", "SlowQueryLog", "SpanRecorder", "obs",
+    "MetricsRegistry", "SpanRecorder", "obs",
     "disable_tracing", "enable_tracing", "get_recorder", "get_registry",
     "render_json", "render_prometheus", "span", "tracing",
     "__version__",

@@ -19,11 +19,11 @@ subsystem they all report into:
   execute → fixpoint-round`` and ``commit`` spans with monotonic
   timings, budget spend, and parent links, deterministically sampled
   and bounded, with a no-op fast path when tracing is off.
-* :mod:`~repro.obs.trace` — the per-request :class:`RequestTrace` /
-  :class:`TraceLog` (the wire-visible lifecycle records STATS ships).
-* :mod:`~repro.obs.slowlog` — the :class:`SlowQueryLog`: requests over
-  a configurable threshold, captured with their EXPLAIN ANALYZE
-  physical operator tree (``python -m repro.serve --slow-query-ms N``).
+* :mod:`~repro.obs.trace` — the per-request :class:`RequestTrace`, the
+  one record of an admitted request, and the bounded :class:`TraceLog`
+  that keeps the recent ones plus a slow view of those over a
+  configurable threshold, EXPLAIN ANALYZE physical tree attached
+  (``python -m repro.serve --slow-query-ms N``); STATS ships both.
 * :mod:`~repro.obs.export` — one snapshot, two renderings: the
   canonical-JSON dump the STATS wire op embeds, and a Prometheus-style
   text dump (the METRICS wire op / CLI shutdown dump).
@@ -45,7 +45,6 @@ from .metrics import (
     reset_registry,
     set_registry,
 )
-from .slowlog import SlowQueryLog, SlowQueryRecord
 from .span import (
     NOOP_SPAN,
     Span,
@@ -66,8 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "NOOP_SPAN",
     "RequestTrace",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "SpanRecorder",
     "TraceLog",

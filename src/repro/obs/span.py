@@ -1,8 +1,10 @@
 """Lightweight span tracing for every entry point.
 
-The serving layer's :class:`~repro.obs.trace.TraceLog` records one
-flat lifecycle record per admitted request; spans generalise it to a
-*tree* of timed phases across every entry point, including embedded
+The serving layer's :class:`~repro.obs.trace.TraceLog` keeps the one
+flat lifecycle record of each admitted request, whether or not tracing
+is on; a request's root span links to it by ``request_id`` instead of
+copying its fields.  Spans generalise that record to a *tree* of timed
+phases across every entry point, including embedded
 :meth:`~repro.query.session.Session.run` calls that never touch the
 serving layer: ``request → session.run → parse → plan → execute →
 fixpoint-round*`` and ``commit`` on the write path, each with monotonic
@@ -23,9 +25,9 @@ Design constraints, in order:
   free: suppression is recorded on the thread-local stack and children
   short-circuit against it.
 * **Bounded memory.**  The recorder keeps the most recent
-  ``max_entries`` finished spans in a deque, mirroring ``TraceLog``'s
-  cap semantics: old spans fall off the front, ``len`` never exceeds
-  the cap, and the cap is validated at construction.
+  ``max_entries`` finished spans in a deque, like ``TraceLog``: old
+  spans fall off the front, ``len`` never exceeds the cap, and the cap
+  is validated at construction.
 """
 
 from __future__ import annotations

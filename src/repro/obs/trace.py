@@ -1,32 +1,37 @@
-"""Per-request trace records.
+"""Per-request trace records — the one record of an admitted request.
 
 Each request the :class:`~repro.serve.service.QueryService` admits gets
 one :class:`RequestTrace` carrying its whole lifecycle: admission
 timestamps, queue wait, execution latency, the backend the planner
-chose, cache behaviour, budget spend, and — when the backend ran on the
-:mod:`repro.engine.ops` kernel — the rendered
-:class:`~repro.engine.exec.PhysicalTrace` operator tree.  A bounded
-:class:`TraceLog` keeps the most recent records and exports them as
-JSON for offline inspection (the TCP server's STATS op includes a
-configurable tail of it).
+chose, cache behaviour, budget spend, the verdict (including a
+budget-exhausted ``?`` as ``cause="budget:<resource>"``), and — when
+the backend ran on the :mod:`repro.engine.ops` kernel — the rendered
+:class:`~repro.engine.exec.PhysicalTrace` operator tree.
+
+:class:`TraceLog` keeps the most recent :data:`TRACE_ENTRIES` records
+and, when armed with a slow-query threshold, a second bounded view of
+*the same objects* for the requests whose execution time was at or over
+it (:data:`SLOW_ENTRIES` of them, so slow offenders outlive fast
+traffic).  STATS ships both views as ``traces`` and ``slow_queries``;
+an entry in one is the entry in the other, ``request_id`` and all.
 
 Timestamps are ``time.monotonic()`` readings relative to the trace
 log's epoch, so exported traces order correctly without exposing wall
 clock — and the *derived* fields (queue wait, execution seconds) are
-what the metrics histograms aggregate.  :mod:`repro.obs.span`
-generalises this flat per-request record to a tree of timed phases
-across every entry point; the request trace stays the wire-visible
-shape STATS consumers read.
+what the metrics histograms aggregate.  :mod:`repro.obs.span` spans
+link to this record by ``request_id`` rather than copying its fields.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["RequestTrace", "TraceLog"]
+__all__ = ["RequestTrace", "SLOW_ENTRIES", "TRACE_ENTRIES", "TraceLog"]
+
+TRACE_ENTRIES = 256
+SLOW_ENTRIES = 64
 
 
 @dataclass
@@ -35,8 +40,9 @@ class RequestTrace:
 
     ``outcome`` is one of ``"ok"`` (completed; the result may still be
     the paper's ``?``), ``"timeout"`` (its deadline passed, in queue or
-    mid-execution), or ``"error"`` (the evaluator raised).  Rejected
-    requests never get a trace — they were never admitted; the
+    mid-execution), ``"error"`` (the evaluator raised), or ``"closed"``
+    (settled unrun by ``close(drain=False)``).  Rejected requests never
+    get a trace — they were never admitted; the
     ``serve.queries.rejected`` counter is their record.
     """
 
@@ -89,13 +95,20 @@ class RequestTrace:
 
 
 class TraceLog:
-    """A bounded, thread-safe log of the most recent request traces."""
+    """A bounded, thread-safe log of the most recent request traces.
 
-    def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
+    *slow_query_ms* arms the slow view: :meth:`finish` keeps every trace
+    whose execution took at least that many milliseconds.  ``None`` (the
+    default) keeps none, at the cost of one ``None`` check.
+    """
+
+    def __init__(self, slow_query_ms: float | None = None):
+        if slow_query_ms is not None and slow_query_ms < 0:
+            raise ValueError("slow_query_ms must be >= 0")
+        self.slow_query_ms = slow_query_ms
         self._lock = threading.Lock()
-        self._entries: deque = deque(maxlen=max_entries)
+        self._entries: deque = deque(maxlen=TRACE_ENTRIES)
+        self._slow: deque = deque(maxlen=SLOW_ENTRIES)
         self._next_id = 0
         self._epoch: float | None = None
 
@@ -122,21 +135,37 @@ class TraceLog:
                 self._epoch = now
             return now - self._epoch
 
+    def finish(self, trace: RequestTrace, now: float) -> bool:
+        """Stamp *trace* finished at *now* (monotonic); True if slow.
+
+        A slow trace — execution at or over the threshold — is also
+        kept in the slow view.  A trace that never started has no
+        execution time and is never slow.
+        """
+        trace.finished_at = self.relative(now)
+        threshold = self.slow_query_ms
+        execution = trace.execution_seconds()
+        if threshold is None or execution is None:
+            return False
+        if execution * 1000.0 < threshold:
+            return False
+        with self._lock:
+            self._slow.append(trace)
+        return True
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def tail(self, limit: int | None = None) -> list:
-        """The most recent traces as dicts (all retained when no limit).
+    def tail(self, limit: int | None = None, *, slow: bool = False) -> list:
+        """The most recent traces as dicts (all retained when no limit);
+        with ``slow``, the most recent slow ones.
 
         ``limit=0`` means none — not all, which is what a bare
         ``entries[-0:]`` slice would give.
         """
         with self._lock:
-            entries = list(self._entries)
+            entries = list(self._slow if slow else self._entries)
         if limit is not None:
             entries = entries[-limit:] if limit > 0 else []
         return [trace.as_dict() for trace in entries]
-
-    def to_json(self, limit: int | None = None) -> str:
-        return json.dumps(self.tail(limit), indent=2, sort_keys=True)

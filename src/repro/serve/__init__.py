@@ -8,10 +8,12 @@ shared engine.  Pieces:
   cache + interner), a bounded worker pool behind an admission
   controller (queue-depth cap → fast retryable rejection, FIFO within
   priority classes), and per-request wall-clock deadlines carried by
-  :class:`~repro.engine.deadline.DeadlineBudget` sub-budgets;
+  :class:`~repro.engine.deadline.DeadlineBudget` sub-budgets; one
+  admission path and one completion path per request;
 * observability lives in :mod:`repro.obs` — the metrics registry
-  (namespaced dotted names), span tracing, the bounded per-request
-  trace log (with physical operator trees), and the slow-query log;
+  (namespaced dotted names), span tracing, and the bounded trace log of
+  per-request records (with physical operator trees) whose slow view is
+  the slow-query log;
 * :mod:`~repro.serve.protocol` / :mod:`~repro.serve.server` /
   :mod:`~repro.serve.client` — the newline-delimited JSON wire
   protocol (PING / QUERY / EXPLAIN / LOAD / STATS / METRICS / UPDATE /
@@ -20,10 +22,9 @@ shared engine.  Pieces:
 * ``python -m repro.serve`` — the CLI entry point; ``--data-dir``
   attaches the :mod:`repro.store` durability layer (WAL commits,
   snapshots, crash recovery, incremental view maintenance) and
-  ``--slow-query-ms N`` arms the slow-query log.
+  ``--slow-query-ms N`` arms the slow-query view.
 """
 
-from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from ..obs.trace import RequestTrace, TraceLog
 from .client import RetriesExhausted, ServeClient, ServeClientError
 from .protocol import PROTOCOL_VERSION, ProtocolError, database_from_spec
@@ -42,10 +43,6 @@ from .service import (
 
 __all__ = [
     "AdmissionRejected",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QueryFailed",

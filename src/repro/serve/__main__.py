@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="N",
-        help="log queries slower than N milliseconds (with their EXPLAIN "
+        help="log requests slower than N milliseconds (with their EXPLAIN "
         "ANALYZE physical tree; surfaces in STATS under slow_queries)",
     )
     return parser

@@ -51,8 +51,10 @@ __all__ = [
     "decode_message",
     "encode_message",
     "error_response",
+    "int_field",
     "ok_response",
     "result_fields",
+    "timeout_field",
     "update_ops_from_spec",
     "value_from_json",
 ]
@@ -102,6 +104,27 @@ def request_op(message: dict) -> str:
             f"unknown op {op!r} (expected one of {', '.join(OPS)})"
         )
     return op.upper()
+
+
+def int_field(message: dict, key: str, default: int) -> int:
+    """The message's integer *key* (*default* when absent)."""
+    value = message.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
+def timeout_field(message: dict):
+    """The message's ``timeout`` in seconds: ``None`` means no deadline,
+    and an absent field means the service default."""
+    if "timeout" not in message:
+        return "default"
+    value = message["timeout"]
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+    ):
+        raise ProtocolError(f'"timeout" must be a number or null, got {value!r}')
+    return value
 
 
 # -- responses --------------------------------------------------------------

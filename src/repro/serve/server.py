@@ -29,9 +29,11 @@ from .protocol import (
     decode_message,
     encode_message,
     error_response,
+    int_field,
     ok_response,
     request_op,
     result_fields,
+    timeout_field,
     update_ops_from_spec,
 )
 from .service import QueryService
@@ -62,7 +64,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if op == "PING":
             return ok_response(op, version=PROTOCOL_VERSION)
         if op == "STATS":
-            limit = message.get("trace_limit", 16)
+            limit = int_field(message, "trace_limit", 16)
             return ok_response(op, stats=service.stats(trace_limit=limit))
         if op == "METRICS":
             return ok_response(op, metrics=render_prometheus(service.metrics))
@@ -87,8 +89,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 db,
                 asserts,
                 retracts,
-                timeout=message.get("timeout", "default"),
-                priority=int(message.get("priority", 0)),
+                timeout=timeout_field(message),
+                priority=int_field(message, "priority", 0),
             )
             if outcome.status != "ok":
                 try:
@@ -113,8 +115,8 @@ class _Handler(socketserver.StreamRequestHandler):
             db,
             text,
             backend=message.get("backend"),
-            timeout=message.get("timeout", "default"),
-            priority=int(message.get("priority", 0)),
+            timeout=timeout_field(message),
+            priority=int_field(message, "priority", 0),
         )
         if outcome.status != "ok":
             try:

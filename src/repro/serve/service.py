@@ -28,12 +28,15 @@ library call does not:
 * **Observability** — a :class:`~repro.obs.metrics.MetricsRegistry`
   (lifecycle counters, queue-wait and execution-latency histograms,
   queue-depth and in-flight gauges, all under namespaced dotted
-  names), a bounded :class:`~repro.obs.trace.TraceLog` of per-request
-  records including the physical operator tree, span tracing around each request
-  (:mod:`repro.obs.span`), and a :class:`~repro.obs.slowlog.SlowQueryLog`
-  capturing the EXPLAIN ANALYZE physical tree of requests over a
-  configurable threshold.  :meth:`QueryService.stats` renders it all
-  from one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
+  names), and one :class:`~repro.obs.trace.RequestTrace` per admitted
+  request, kept by a bounded :class:`~repro.obs.trace.TraceLog` whose
+  slow view holds the requests over a configurable threshold with
+  their physical operator trees.  The request's root span
+  (:mod:`repro.obs.span`) links to that record by ``request_id``.
+  Every request enters through one admission path and leaves through
+  one completion path, the only place a terminal outcome is counted.
+  :meth:`QueryService.stats` renders it all from one
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
 
 Every request runs under a *child* of the service budget (the
 :meth:`~repro.budget.Budget.child` splitting the engine runner already
@@ -69,7 +72,6 @@ from ..model.schema import Database
 from ..catalog import Catalog
 from ..catalog.policy import priority_hint
 from ..obs.metrics import MetricsRegistry
-from ..obs.slowlog import SlowQueryLog
 from ..obs.span import span
 from ..obs.trace import RequestTrace, TraceLog
 from ..query.explain import render, render_plan
@@ -172,26 +174,27 @@ class StoreUnavailable(ServeError):
 class RequestOutcome:
     """What became of one admitted request.
 
-    ``status`` is ``"ok"`` / ``"timeout"`` / ``"error"`` / ``"closed"``;
     ``result`` is the query's value (possibly ``?``) when ``ok``;
-    ``trace`` is the request's :class:`~repro.obs.trace.RequestTrace`.
+    ``trace`` is the request's :class:`~repro.obs.trace.RequestTrace`,
+    which holds the verdict: ``status`` (``"ok"`` / ``"timeout"`` /
+    ``"error"`` / ``"closed"``) and ``error`` read through to it.
+    ``seconds`` is the request's deadline allowance.
     """
 
-    __slots__ = ("status", "result", "trace", "error", "seconds")
+    __slots__ = ("result", "trace", "seconds")
 
-    def __init__(
-        self,
-        status: str,
-        result,
-        trace: RequestTrace,
-        error: str | None = None,
-        seconds: float | None = None,
-    ):
-        self.status = status
-        self.result = result
+    def __init__(self, trace: RequestTrace, result, seconds: float | None):
         self.trace = trace
-        self.error = error
+        self.result = result
         self.seconds = seconds
+
+    @property
+    def status(self) -> str:
+        return self.trace.outcome
+
+    @property
+    def error(self) -> str | None:
+        return self.trace.error
 
     @property
     def value(self):
@@ -249,28 +252,31 @@ class _Pending:
 class _Ticket:
     """One admitted request waiting for (or holding) a worker.
 
-    ``kind`` is ``"query"`` or ``"update"``; updates carry their
-    ``(asserts, retracts)`` fact batches in ``payload``.
+    The database and text live on its ``trace``.  ``kind`` is
+    ``"query"`` or ``"update"``; updates carry their ``(asserts,
+    retracts)`` fact batches in ``payload``.
     """
 
     __slots__ = (
-        "db", "text", "backend", "seconds", "deadline", "trace", "pending",
-        "kind", "payload",
+        "trace", "seconds", "deadline", "pending", "kind", "backend",
+        "payload",
     )
 
-    def __init__(
-        self, db, text, backend, seconds, deadline, trace, pending,
-        kind="query", payload=None,
-    ):
-        self.db = db
-        self.text = text
-        self.backend = backend
+    def __init__(self, trace, seconds, deadline, kind, backend=None, payload=None):
+        self.trace = trace
         self.seconds = seconds
         self.deadline = deadline
-        self.trace = trace
-        self.pending = pending
+        self.pending = _Pending()
         self.kind = kind
+        self.backend = backend
         self.payload = payload
+
+
+# The terminal counter ``serve.queries.<name>`` of each outcome status.
+_TERMINAL = {
+    "ok": "completed", "timeout": "timed_out", "error": "failed",
+    "closed": "closed",
+}
 
 
 class QueryService:
@@ -291,8 +297,9 @@ class QueryService:
     snapshot-0, databases already on disk are crash-recovered (disk
     wins over a same-named seed), and UPDATE commits through the WAL.
     *sync* / *compaction* tune the store's fsync gate and
-    :class:`~repro.store.snapshot.CompactionPolicy`.  Remaining knobs
-    size the per-database caches and the trace log.
+    :class:`~repro.store.snapshot.CompactionPolicy`.  *slow_query_ms*
+    arms the trace log's slow view.  Remaining knobs size the
+    per-database caches.
     """
 
     def __init__(
@@ -307,12 +314,10 @@ class QueryService:
         memo_entries: int = 512,
         plan_entries: int = 256,
         intern: bool = True,
-        trace_entries: int = 256,
         data_dir: str | None = None,
         sync: bool = True,
         compaction=None,
         slow_query_ms: float | None = None,
-        slow_query_entries: int = 64,
         registry: MetricsRegistry | None = None,
     ):
         if workers < 1:
@@ -330,10 +335,7 @@ class QueryService:
             enable_interning()
 
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.traces = TraceLog(max_entries=trace_entries)
-        self.slow_queries = SlowQueryLog(
-            threshold_ms=slow_query_ms, max_entries=slow_query_entries
-        )
+        self.traces = TraceLog(slow_query_ms)
         # Instruments exist from the start so STATS shows zeros, not
         # gaps (see README "Observability" for the schema table).
         for name in (
@@ -359,9 +361,6 @@ class QueryService:
         # pull-time collectors — one sink, no double accounting.
         self.metrics.register_collector(
             "engine.intern", lambda: intern_stats().as_dict()
-        )
-        self.metrics.register_collector(
-            "obs.slow_queries", self.slow_queries.stats
         )
 
         self.store = (
@@ -484,6 +483,10 @@ class QueryService:
         self.session(db)  # typed error before queueing
         if priority is None:
             priority = self._cost_priority(db, text)
+        return self._admit(db, text, priority, timeout, "query", backend=backend)
+
+    def _admit(self, db, text, priority, timeout, kind, **fields) -> _Pending:
+        """Queue one request, or reject it before it gets a trace."""
         seconds = self.default_timeout if timeout == "default" else timeout
         now = time.monotonic()
         with self._cond:
@@ -492,22 +495,18 @@ class QueryService:
             if len(self._queue) >= self.max_queue_depth:
                 self.metrics.counter("serve.queries.rejected").inc()
                 raise AdmissionRejected(self.max_queue_depth)
-            trace = self.traces.begin(db, text, priority, now)
-            pending = _Pending()
             ticket = _Ticket(
-                db=db,
-                text=text,
-                backend=backend,
-                seconds=seconds,
-                deadline=(now + seconds) if seconds else None,
-                trace=trace,
-                pending=pending,
+                self.traces.begin(db, text, priority, now),
+                seconds,
+                (now + seconds) if seconds else None,
+                kind,
+                **fields,
             )
             heapq.heappush(self._queue, (priority, next(self._seq), ticket))
             self.metrics.counter("serve.queries.accepted").inc()
             self.metrics.gauge("serve.queue.depth").set(len(self._queue))
             self._cond.notify()
-        return pending
+        return ticket.pending
 
     def query(
         self,
@@ -554,35 +553,12 @@ class QueryService:
         asserts = _decode_batches(schema, asserts)
         retracts = _decode_batches(schema, retracts)
         summary = "UPDATE assert={} retract={}".format(
-            sum(len(facts) for facts in (asserts or {}).values()),
-            sum(len(facts) for facts in (retracts or {}).values()),
+            sum(len(facts) for facts in asserts.values()),
+            sum(len(facts) for facts in retracts.values()),
         )
-        seconds = self.default_timeout if timeout == "default" else timeout
-        now = time.monotonic()
-        with self._cond:
-            if self._closed:
-                raise ServiceClosed()
-            if len(self._queue) >= self.max_queue_depth:
-                self.metrics.counter("serve.queries.rejected").inc()
-                raise AdmissionRejected(self.max_queue_depth)
-            trace = self.traces.begin(db, summary, priority, now)
-            pending = _Pending()
-            ticket = _Ticket(
-                db=db,
-                text=summary,
-                backend=None,
-                seconds=seconds,
-                deadline=(now + seconds) if seconds else None,
-                trace=trace,
-                pending=pending,
-                kind="update",
-                payload=(asserts or {}, retracts or {}),
-            )
-            heapq.heappush(self._queue, (priority, next(self._seq), ticket))
-            self.metrics.counter("serve.queries.accepted").inc()
-            self.metrics.gauge("serve.queue.depth").set(len(self._queue))
-            self._cond.notify()
-        return pending
+        return self._admit(
+            db, summary, priority, timeout, "update", payload=(asserts, retracts)
+        )
 
     def update(
         self,
@@ -661,33 +637,44 @@ class QueryService:
         now = time.monotonic()
         trace.started_at = self.traces.relative(now)
         self.metrics.counter("serve.queries.started").inc()
-        wait = trace.queue_wait()
-        if wait is not None:
-            self.metrics.histogram("serve.queue.wait_seconds").observe(wait)
-
+        self.metrics.histogram("serve.queue.wait_seconds").observe(
+            trace.queue_wait()
+        )
         if ticket.deadline is not None and now >= ticket.deadline:
-            trace.finished_at = trace.started_at
-            trace.outcome = "timeout"
             trace.cause = "queue"
-            self.metrics.counter("serve.queries.timed_out").inc()
-            ticket.pending.complete(
-                RequestOutcome("timeout", UNDEFINED, trace, seconds=ticket.seconds)
-            )
-            return
+            self._finish(ticket, "timeout")
+        elif ticket.kind == "update":
+            self._finish(ticket, *self._run_update(ticket))
+        else:
+            self._finish(ticket, *self._run_query(ticket))
 
-        if ticket.kind == "update":
-            self._run_update(ticket)
-            return
+    def _finish(self, ticket: _Ticket, status: str, result=UNDEFINED, error=None):
+        """Settle one admitted request: the single place a terminal
+        outcome is recorded, counted, and handed to the waiter."""
+        trace = ticket.trace
+        trace.outcome = status
+        trace.error = error
+        if self.traces.finish(trace, time.monotonic()):
+            self.metrics.counter("serve.queries.slow").inc()
+        execution = trace.execution_seconds()
+        if execution is not None and trace.cause != "queue":  # it ran
+            self.metrics.histogram("serve.execution_seconds").observe(execution)
+        self.metrics.counter(f"serve.queries.{_TERMINAL[status]}").inc()
+        ticket.pending.complete(RequestOutcome(trace, result, ticket.seconds))
 
-        session = self.session(ticket.db)
+    def _run_query(self, ticket: _Ticket) -> tuple:
+        trace = ticket.trace
+        session = self.session(trace.db)
         budget = self._request_budget(ticket)
         status, result, error = "ok", UNDEFINED, None
         try:
-            with span("serve.request", db=ticket.db, kind="query") as request_span:
+            with span(
+                "serve.request", db=trace.db, kind="query",
+                request_id=trace.request_id,
+            ):
                 result, report = session.run(
-                    ticket.text, backend=ticket.backend, budget=budget
+                    trace.text, backend=ticket.backend, budget=budget
                 )
-                request_span.set(backend=report.backend, cached=report.cached)
             trace.backend = report.backend
             trace.cached = report.cached
             trace.physical = report.physical
@@ -725,33 +712,9 @@ class QueryService:
         except Exception as exc:  # noqa: BLE001 — reported, not swallowed
             status = "error"
             error = f"{type(exc).__name__}: {exc}"
-        trace.finished_at = self.traces.relative(time.monotonic())
-        trace.outcome = status
-        trace.error = error
-        execution = trace.execution_seconds()
-        if execution is not None:
-            self.metrics.histogram("serve.execution_seconds").observe(execution)
-        if self.slow_queries.record(
-            ticket.db,
-            ticket.text,
-            execution,
-            backend=trace.backend,
-            outcome=status,
-            spent=trace.spent,
-            physical=trace.physical,
-        ):
-            self.metrics.counter("serve.queries.slow").inc()
-        if status == "ok":
-            self.metrics.counter("serve.queries.completed").inc()
-        elif status == "timeout":
-            self.metrics.counter("serve.queries.timed_out").inc()
-        else:
-            self.metrics.counter("serve.queries.failed").inc()
-        ticket.pending.complete(
-            RequestOutcome(status, result, trace, error, seconds=ticket.seconds)
-        )
+        return status, result, error
 
-    def _run_update(self, ticket: _Ticket) -> None:
+    def _run_update(self, ticket: _Ticket) -> tuple:
         """Commit one transaction: WAL append (when durable), then
         incremental maintenance of the session's caches and views.
 
@@ -762,15 +725,14 @@ class QueryService:
         session's database reference on entry.
         """
         trace = ticket.trace
+        db = trace.db
         asserts, retracts = ticket.payload
-        status, result, error = "ok", UNDEFINED, None
         try:
-            session = self.session(ticket.db)
-            durable = (
-                self.store.get(ticket.db) if self.store is not None else None
-            )
-            with self._writer_lock(ticket.db), span(
-                "serve.commit", db=ticket.db, durable=durable is not None
+            session = self.session(db)
+            durable = self.store.get(db) if self.store is not None else None
+            with self._writer_lock(db), span(
+                "serve.commit", db=db, durable=durable is not None,
+                request_id=trace.request_id,
             ):
                 if durable is not None:
                     commit = durable.apply(asserts, retracts)
@@ -799,30 +761,18 @@ class QueryService:
                 maintenance["invalidations"]
             )
             trace.backend = "store" if durable is not None else "memory"
-            result = {
-                "asserted": plus,
-                "retracted": minus,
-                "durable": durable is not None,
-                "lsn": lsn,
-                **maintenance,
-            }
         except ReproError as exc:
-            status, error = "error", str(exc)
+            return "error", UNDEFINED, str(exc)
         except Exception as exc:  # noqa: BLE001 — reported, not swallowed
-            status, error = "error", f"{type(exc).__name__}: {exc}"
-        trace.finished_at = self.traces.relative(time.monotonic())
-        trace.outcome = status
-        trace.error = error
-        execution = trace.execution_seconds()
-        if execution is not None:
-            self.metrics.histogram("serve.execution_seconds").observe(execution)
-        if status == "ok":
-            self.metrics.counter("serve.queries.completed").inc()
-        else:
-            self.metrics.counter("serve.queries.failed").inc()
-        ticket.pending.complete(
-            RequestOutcome(status, result, trace, error, seconds=ticket.seconds)
-        )
+            return "error", UNDEFINED, f"{type(exc).__name__}: {exc}"
+        result = {
+            "asserted": plus,
+            "retracted": minus,
+            "durable": durable is not None,
+            "lsn": lsn,
+            **maintenance,
+        }
+        return "ok", result, None
 
     # -- explain / stats ------------------------------------------------
 
@@ -902,12 +852,13 @@ class QueryService:
                 "workers": self.workers,
                 "max_queue_depth": self.max_queue_depth,
                 "default_timeout": self.default_timeout,
+                "slow_query_ms": self.traces.slow_query_ms,
                 "queue_depth": queue_depth,
                 "accepting": accepting,
             },
             "metrics": snapshot,
             "databases": databases,
-            "slow_queries": self.slow_queries.tail(trace_limit),
+            "slow_queries": self.traces.tail(trace_limit, slow=True),
             "traces": self.traces.tail(trace_limit),
         }
 
@@ -928,12 +879,7 @@ class QueryService:
                 self._closed = True
                 if not drain:
                     while self._queue:
-                        _, _, ticket = heapq.heappop(self._queue)
-                        ticket.trace.outcome = "closed"
-                        self.metrics.counter("serve.queries.closed").inc()
-                        ticket.pending.complete(
-                            RequestOutcome("closed", UNDEFINED, ticket.trace)
-                        )
+                        self._finish(heapq.heappop(self._queue)[2], "closed")
                     self.metrics.gauge("serve.queue.depth").set(0)
             self._cond.notify_all()
         for thread in self._threads:
@@ -957,7 +903,7 @@ class QueryService:
         accepted = self.metrics.counter("serve.queries.accepted").value
         outcomes = {
             name: self.metrics.counter(f"serve.queries.{name}").value
-            for name in ("completed", "timed_out", "failed", "closed")
+            for name in _TERMINAL.values()
         }
         settled = sum(outcomes.values())
         assert accepted == settled, (

@@ -140,7 +140,6 @@ class TestPackageSurface:
             "Store",
             "Catalog",
             "MetricsRegistry",
-            "SlowQueryLog",
             "enable_tracing",
             "get_registry",
             "render_prometheus",

@@ -135,7 +135,7 @@ class TestDrainInvariant:
             service.close()
 
 
-class TestSlowQueryLog:
+class TestSlowQueries:
     def test_threshold_zero_captures_every_query(self):
         service = QueryService(
             serve_databases(), workers=1, intern=False, slow_query_ms=0.0
@@ -149,7 +149,36 @@ class TestSlowQueryLog:
             assert entry["outcome"] == "ok"
             assert entry["physical"] and "Scan(" in entry["physical"]
             assert stats["metrics"]["serve.queries.slow"] == 1
-            assert stats["metrics"]["obs.slow_queries.recorded"] == 1
+            assert stats["service"]["slow_query_ms"] == 0.0
+        finally:
+            service.close()
+
+    def test_slow_entry_is_the_trace_entry(self):
+        service = QueryService(
+            serve_databases(), workers=1, intern=False, slow_query_ms=0.0
+        )
+        try:
+            outcome = service.query("main", "{ x | S(x) }")
+            stats = service.stats()
+            (slow,) = stats["slow_queries"]
+            (trace,) = stats["traces"]
+            assert slow["request_id"] == trace["request_id"]
+            assert slow["request_id"] == outcome.trace.request_id
+            assert slow == trace
+        finally:
+            service.close()
+
+    def test_updates_pass_the_slow_filter(self):
+        service = QueryService(
+            serve_databases(), workers=1, intern=False, slow_query_ms=0.0
+        )
+        try:
+            service.update("main", asserts={"S": ["z"]}).raise_for_status()
+            (entry,) = service.stats()["slow_queries"]
+            assert entry["text"] == "UPDATE assert=1 retract=0"
+            assert entry["outcome"] == "ok"
+            assert entry["backend"] == "memory"
+            assert service.metrics.counter("serve.queries.slow").value == 1
         finally:
             service.close()
 
@@ -160,6 +189,7 @@ class TestSlowQueryLog:
             stats = service.stats()
             assert stats["slow_queries"] == []
             assert stats["metrics"]["serve.queries.slow"] == 0
+            assert stats["service"]["slow_query_ms"] is None
         finally:
             service.close()
 
@@ -177,7 +207,14 @@ class TestRequestSpans:
             request = by_name["serve.request"]
             assert request["parent_id"] is None
             assert request["attrs"]["db"] == "main"
-            assert request["attrs"]["backend"]
+            # The span links to the request's one record, not a copy.
+            assert "backend" not in request["attrs"]
+            (trace,) = [
+                entry
+                for entry in service.stats()["traces"]
+                if entry["request_id"] == request["attrs"]["request_id"]
+            ]
+            assert trace["backend"]
             run = by_name["session.run"]
             assert run["parent_id"] == request["span_id"]
         finally:
@@ -189,8 +226,12 @@ class TestRequestSpans:
             with tracing() as recorder:
                 outcome = service.update("main", asserts={"S": ["z"]})
             assert outcome.status == "ok"
-            names = {entry["name"] for entry in recorder.tail()}
-            assert "serve.commit" in names
+            commits = [
+                entry for entry in recorder.tail() if entry["name"] == "serve.commit"
+            ]
+            assert [entry["attrs"]["request_id"] for entry in commits] == [
+                outcome.trace.request_id
+            ]
         finally:
             service.close()
 

@@ -14,8 +14,10 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
+    int_field,
     ok_response,
     request_op,
+    timeout_field,
     value_from_json,
 )
 from repro.serve.service import AdmissionRejected, RequestTimeout
@@ -47,6 +49,24 @@ class TestFraming:
             request_op({"op": "DELETE"})
         with pytest.raises(ProtocolError):
             request_op({})
+
+
+class TestWireFields:
+    def test_integer_fields(self):
+        assert int_field({}, "priority", 0) == 0
+        assert int_field({"priority": -3}, "priority", 0) == -3
+        for bad in ("x", None, 1.5, True, [1]):
+            with pytest.raises(ProtocolError):
+                int_field({"priority": bad}, "priority", 0)
+
+    def test_timeout_field(self):
+        assert timeout_field({}) == "default"
+        assert timeout_field({"timeout": None}) is None  # no deadline
+        assert timeout_field({"timeout": 2}) == 2
+        assert timeout_field({"timeout": 0.5}) == 0.5
+        for bad in ("abc", "default", [1], False, {}):
+            with pytest.raises(ProtocolError):
+                timeout_field({"timeout": bad})
 
 
 class TestErrorResponses:

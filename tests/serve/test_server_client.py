@@ -105,6 +105,24 @@ class TestErrorsOverTheWire:
             client.call({"op": "DELETE"}, retry=False)
         assert exc_info.value.type == "protocol"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"op": "QUERY", "priority": "x"},
+            {"op": "UPDATE", "assert": {"S": ["z"]}, "priority": None},
+            {"op": "QUERY", "timeout": "abc"},
+            {"op": "QUERY", "timeout": [1]},
+            {"op": "STATS", "trace_limit": "abc"},
+            {"op": "STATS", "trace_limit": 1.5},
+        ],
+    )
+    def test_malformed_wire_fields_are_protocol_errors(self, server, client, fields):
+        message = {"db": "main", "query": "{ x | S(x) }", **fields}
+        with pytest.raises(ServeClientError) as exc_info:
+            client.call(message, retry=False)
+        assert exc_info.value.type == "protocol"
+        assert server.service.metrics.counter("serve.queries.accepted").value == 0
+
 
 class TestRetries:
     def test_retryable_rejection_retries_then_succeeds(self, server, monkeypatch):
