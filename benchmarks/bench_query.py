@@ -7,6 +7,9 @@ calculus on a fact-sparse instance, and its measured runtime does not
 lose to the calculus as the domain grows.  Also times planning itself
 (parse + lowerings + costing) and a warm plan-cache session query, to
 keep the planner's overhead visibly below evaluation for small inputs.
+Finally it gates the memo's warm-hit path against one canonicalisation
+of the same database: a hit reads the database's canonical form from
+its catalog, so it must stay far cheaper than computing that form.
 """
 
 import time
@@ -14,11 +17,13 @@ import time
 import pytest
 
 from repro.budget import Budget
+from repro.engine.canon import canonicalise_database
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
 from repro.query.parser import parse
 from repro.query.planner import build_plan, execute_plan
 from repro.query.session import Session
+from repro.workloads import random_graph
 
 
 JOIN = "{ [x, z] | some y / U : R([x, y]) and R([y, z]) }"
@@ -107,3 +112,35 @@ def test_warm_session_query(benchmark, engine_record):
         speedup=round(cold_elapsed / max(warm_elapsed, 1e-9), 2),
     )
     assert warm_elapsed < cold_elapsed
+
+
+def test_memo_hit_vs_canonicalise(engine_record):
+    """A warm memo hit against one canonicalisation of its database.
+
+    Both arms run in this process on the same 32-node, 80-edge graph,
+    so machine contention scales them alike and the ratio is stable.
+    A hit that re-canonicalised its database would put the ratio
+    below 1.
+    """
+    database = random_graph(32, 80, seed=1)
+    text = "rules { T(y) :- R('a0', y). T(z) :- T(y), R(y, z). } answer T"
+    session = Session(database)
+    session.run(text)  # the one miss: plans, evaluates, canonicalises
+    constants = session.plan(text).query.constants()
+    hits = 100
+    warm_elapsed = _best_of(
+        lambda: [session.run(text) for _ in range(hits)], repeats=5
+    ) / hits
+    canon_elapsed = _best_of(
+        lambda: canonicalise_database(database, constants), repeats=5
+    )
+    assert session.memo.stats.misses == 1
+    speedup = canon_elapsed / max(warm_elapsed, 1e-9)
+    engine_record(
+        "query_memo_hit_vs_canonicalise",
+        workload="reach-from rule block on random_graph(32, 80), warm memo hit",
+        warm_hit_seconds=round(warm_elapsed, 6),
+        canonicalise_seconds=round(canon_elapsed, 5),
+        speedup=round(speedup, 2),
+    )
+    assert speedup >= 10  # conservative: ~70x measured

@@ -24,12 +24,15 @@ own private slack constants.  The catalog centralises all of it:
   Database` :class:`Catalog`: a memoized profile (no recomputation per
   plan), lazily-built relation statistics migrated *incrementally*
   across committed :class:`~repro.store.tx.FactDelta`\\ s (durable
-  databases never cold-rescan), and the feedback loop folding
-  post-execution actuals back in as integer correction factors.
+  databases never cold-rescan), the database's canonical forms and
+  restrict views computed once and carried across commits (the memo
+  cache's keys), and the feedback loop folding post-execution actuals
+  back in as integer correction factors.
 
-Layering: the catalog imports only :mod:`repro.model`, so every other
-subsystem (engine, deductive, query, store, serve) can depend on it
-without cycles.
+Layering: at import time the catalog needs only :mod:`repro.model` and
+:mod:`repro.obs`, so every other subsystem (engine, deductive, query,
+store, serve) can depend on it without cycles; the engine's
+canonicaliser is looked up when first used.
 """
 
 from .catalog import Catalog

@@ -1,5 +1,6 @@
 """The per-database catalog: memoized profile, lazy relation stats,
-incremental migration, and the actuals feedback loop.
+canonical forms and restrict views, incremental migration, and the
+actuals feedback loop.
 
 One :class:`Catalog` exists per live :class:`~repro.model.schema.
 Database` object, found via :meth:`Catalog.for_database`.  The registry
@@ -9,7 +10,7 @@ so identity keying is both correct (a database's statistics never
 change) and far cheaper than value keying.  Entries evict themselves
 when their database is collected.
 
-Three jobs:
+Five jobs:
 
 * :meth:`profile` replaces the old per-``build_plan`` recomputation of
   ``database_profile`` — sizes, total facts, active-domain size and
@@ -21,19 +22,39 @@ Three jobs:
   untouched relations share their stats objects with the predecessor
   catalog, touched ones replay only the delta's facts, so durable
   databases never cold-rescan their extents after a commit.
+* :meth:`canonical` memoizes the database's canonical form under
+  C-genericity (:func:`~repro.engine.canon.canonicalise_database`)
+  per constant set, with its renaming and inverse, in a bounded LRU
+  (:data:`~repro.catalog.policy.CATALOG_MEMO_ENTRIES`).  The memo
+  cache keys on it, so a warm hit never re-runs colour refinement.
+* :meth:`restrict` memoizes ``Database.restrict`` per predicate set,
+  so a footprint-restricted memo key has a stable identity — and with
+  it its own catalog and canonical forms.  :meth:`migrate` carries
+  every view whose predicates the delta leaves untouched to the new
+  catalog, so a rule-block query over ``R`` stays a memo hit across a
+  commit to ``E`` without re-canonicalising.
 * :meth:`observe` folds post-execution actuals (estimated vs. actual
   rows of a kernel step) into per-relation integer correction factors
   (percent, EWMA-smoothed, clamped); the planner scales its effective
   sizes by them, and EXPLAIN ANALYZE renders them next to ``est=`` so
   drift is observable.
+
+A catalog never holds its own database strongly: the registry entry
+would then pin the database it is meant to outlive.  Both memoized
+operations can return their input (a database with no movable atom is
+its own canonical form; restricting to every predicate is the
+identity), so those results are not stored but re-derived from the
+weak reference on each read.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from collections import OrderedDict
 
 from ..obs.metrics import flatten, nest
+from .policy import CATALOG_MEMO_ENTRIES
 from .stats import RelStats
 
 __all__ = ["Catalog"]
@@ -52,13 +73,27 @@ _REGISTRY_LOCK = threading.Lock()
 class Catalog:
     """Statistics, profile, and correction state of one database."""
 
-    __slots__ = ("_database", "_rels", "_base_profile", "_corrections", "_lock")
+    __slots__ = (
+        "_database",
+        "_rels",
+        "_base_profile",
+        "_corrections",
+        "_canonical",
+        "_restricts",
+        "_lock",
+    )
 
     def __init__(self, database):
         self._database = weakref.ref(database)
         self._rels: dict = {}
         self._base_profile: dict | None = None
         self._corrections: dict = {}
+        #: frozenset(constants) -> (canonical database, or ``None`` when
+        #: it is the database itself; renaming; inverse renaming).
+        self._canonical: OrderedDict = OrderedDict()
+        #: frozenset(predicates) -> restricted database (never the
+        #: database itself).
+        self._restricts: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     # -- registry -------------------------------------------------------
@@ -145,6 +180,67 @@ class Catalog:
         """Relation names whose statistics are currently materialised."""
         return tuple(sorted(self._rels))
 
+    # -- canonical forms and restrict views -----------------------------
+
+    def canonical(self, constants=()) -> tuple:
+        """``(canonical database, renaming, inverse renaming)`` of the
+        database under C-genericity for C = *constants*, computed once
+        per constant set and served memoized.
+
+        The canonical form and renaming are exactly those of a fresh
+        :func:`~repro.engine.canon.canonicalise_database` call — the
+        database is immutable, so recomputing can only return the same
+        answer.  A miss computes outside the lock; concurrent misses
+        duplicate work but store the same (deterministic) entry.
+        """
+        key = frozenset(constants)
+        with self._lock:
+            entry = self._canonical.get(key)
+            if entry is not None:
+                self._canonical.move_to_end(key)
+        if entry is None:
+            # Looked up on the memo cache's module at call time (the
+            # engine imports the catalog, so not at import time); that
+            # is also the name the layer ledger in benchmarks/e2e times.
+            from ..engine import cache
+
+            database = self._require_database()
+            canonical, renaming = cache.canonicalise_database(database, key)
+            entry = (
+                None if canonical is database else canonical,
+                renaming,
+                renaming.inverse(),
+            )
+            with self._lock:
+                self._canonical[key] = entry
+                _trim(self._canonical)
+        canonical, renaming, inverse = entry
+        if canonical is None:
+            canonical = self._require_database()
+        return canonical, renaming, inverse
+
+    def restrict(self, preds):
+        """``Database.restrict(preds)``, memoized per predicate set.
+
+        The same view object comes back on every call (and, through
+        :meth:`migrate`, after commits that leave *preds* untouched),
+        so its catalog's canonical forms are computed once.
+        """
+        key = frozenset(preds)
+        with self._lock:
+            view = self._restricts.get(key)
+            if view is not None:
+                self._restricts.move_to_end(key)
+                return view
+        database = self._require_database()
+        view = database.restrict(key)
+        if view is database:
+            return view
+        with self._lock:
+            view = self._restricts.setdefault(key, view)
+            _trim(self._restricts)
+        return view
+
     # -- incremental migration ------------------------------------------
 
     @classmethod
@@ -157,6 +253,12 @@ class Catalog:
         touched relations replay just the delta's facts.  Correction
         factors carry over unchanged — drift feedback survives commits.
         Relations the predecessor never materialised stay lazy.
+
+        Restrict views over predicates disjoint from the delta carry
+        over as the *same objects*: the commit shares every untouched
+        instance with the new database, so each view still equals
+        ``new_database.restrict(preds)``, and its catalog keeps the
+        canonical forms already computed.
         """
         catalog = cls.for_database(new_database)
         predecessor = cls.lookup(old_database)
@@ -175,8 +277,16 @@ class Catalog:
             catalog._rels[name] = updated
         with predecessor._lock:
             corrections = dict(predecessor._corrections)
+            views = [
+                (preds, view)
+                for preds, view in predecessor._restricts.items()
+                if preds.isdisjoint(touched)
+            ]
         with catalog._lock:
             catalog._corrections.update(corrections)
+            for preds, view in views:
+                catalog._restricts.setdefault(preds, view)
+            _trim(catalog._restricts)
         return catalog
 
     # -- feedback -------------------------------------------------------
@@ -236,6 +346,12 @@ class Catalog:
         """A JSON-ready catalog summary for the serve STATS verb —
         :func:`~repro.obs.metrics.nest` applied to :meth:`metrics`."""
         return nest(self.metrics())
+
+
+def _trim(memo: OrderedDict) -> None:
+    """Drop least-recently-used entries beyond the per-database bound."""
+    while len(memo) > CATALOG_MEMO_ENTRIES:
+        memo.popitem(last=False)
 
 
 def _evict(key: int):

@@ -6,7 +6,8 @@ consumer is defined here once: the adaptive index-build slack
 :mod:`repro.deductive.col` and ``_ADAPTIVE_SLACK`` in
 :mod:`repro.deductive.kernels`), the material-change rule gating
 kernel re-ordering and statistics refresh, the estimate/cost
-saturation caps, and the admission-priority bucketing.
+saturation caps, the admission-priority bucketing, and the bound on
+the catalog's per-database memos.
 
 Everything is integer arithmetic on data-derived quantities — no
 floats, no randomness, no wall-clock — so every decision these rules
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 __all__ = [
     "ADAPTIVE_SLACK",
+    "CATALOG_MEMO_ENTRIES",
     "COST_CAP",
     "DELTA_FRACTION",
     "EST_CAP",
@@ -37,6 +39,11 @@ EST_CAP = 10**9
 #: Planner costs saturate here; keeps the arithmetic overflow-free and
 #: the candidate orderings stable.
 COST_CAP = 10**12
+
+#: Bound on each per-database memo a catalog keeps (canonical forms,
+#: restrict views): least-recently-used entries go first, so a
+#: database queried under ever-new constant sets stays bounded.
+CATALOG_MEMO_ENTRIES = 64
 
 #: Fallback selectivity divisor when no distinct-count statistics are
 #: available for a determined position (the legacy flat discount), and

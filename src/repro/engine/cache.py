@@ -9,6 +9,14 @@ querying database's own renaming, **is** the query's answer.  This is
 the cache the paper's semantics licences — genericity is exactly the
 statement that a query cannot distinguish such inputs.
 
+Databases are immutable, so a database's canonical form is a fact
+about the database: the cache reads it (with the renaming and its
+inverse) from the database's :class:`~repro.catalog.Catalog`, which
+computes it once per constant set.  A warm hit therefore costs a
+catalog lookup, a dict probe and one inverse renaming of the answer —
+no colour refinement.  The key still embeds the full canonical
+database, so a hit still certifies a C-fixing permutation.
+
 Requirements on a cached query (checked by the caller, not the cache):
 
 * **C-generic** for the declared constants, and
@@ -33,10 +41,21 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..catalog.catalog import Catalog
 from ..errors import is_undefined
 from ..model.schema import Database
 from ..model.values import Atom, Value
 from .canon import canonicalise_database
+
+#: ``canonicalise_database`` is re-exported: the catalog calls it
+#: through this module (see :meth:`repro.catalog.Catalog.canonical`).
+__all__ = [
+    "CacheStats",
+    "LRUCache",
+    "MemoCache",
+    "canonicalise_database",
+    "program_fingerprint",
+]
 
 
 @dataclass
@@ -177,6 +196,7 @@ class MemoCache:
         extra_key=(),
         key_database: Database | None = None,
         footprint: tuple | None = None,
+        fingerprint: str | None = None,
     ):
         """Evaluate ``fn(database)``, consulting the cache when allowed.
 
@@ -196,17 +216,19 @@ class MemoCache:
         :meth:`invalidate`; entries without one are never invalidated
         (their full-database key can only be hit by the identical
         database, so a committed delta makes them unreachable, not
-        wrong).
+        wrong).  *fingerprint*, when given, is the caller's already
+        computed ``program_fingerprint(program)``.
         """
         if not generic:
             with self._lock:
                 self.stats.bypasses += 1
             return fn(database)
-        constants = tuple(constants)
-        canon_db, renaming = canonicalise_database(
-            database if key_database is None else key_database, constants
-        )
-        key = (program_fingerprint(program), extra_key, canon_db)
+        canon_db, renaming, inverse = Catalog.for_database(
+            database if key_database is None else key_database
+        ).canonical(constants)
+        if fingerprint is None:
+            fingerprint = program_fingerprint(program)
+        key = (fingerprint, extra_key, canon_db)
         sentinel = object()
         with self._lock:
             canonical_result = self._entries.get(key, sentinel)
@@ -220,7 +242,7 @@ class MemoCache:
                 canonical_result, Value
             ):
                 return canonical_result
-            return renaming.inverse()(canonical_result)
+            return inverse(canonical_result)
         # Evaluate outside the lock: concurrent misses on the same key
         # duplicate work but never block each other, and the duplicate
         # store is idempotent (both threads store the same canonical

@@ -18,10 +18,13 @@ makes EXPLAIN output golden-testable.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..budget import Budget
 from ..catalog import Catalog
 from ..catalog.estimator import domain_estimate, join_product
 from ..catalog.policy import COST_CAP
+from ..engine.cache import program_fingerprint
 from ..errors import SchemaError
 from ..model.schema import Database
 from .ir import (
@@ -160,6 +163,13 @@ class Plan:
         lines = [self.query.text]
         lines += [f"{c.backend}:{c.cost}" for c in self.candidates]
         return "\n".join(lines)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``program_fingerprint(self)``, hashed once per plan: nothing
+        mutates a plan after :func:`build_plan`, so its memo fingerprint
+        cannot change."""
+        return program_fingerprint(self)
 
 
 class ExecutionReport:

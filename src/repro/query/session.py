@@ -20,6 +20,7 @@ query cannot silently drain the session's allowance for the rest.
 from __future__ import annotations
 
 from ..budget import Budget
+from ..catalog import Catalog
 from ..engine.cache import LRUCache, MemoCache, program_fingerprint
 from ..engine.intern import intern_stats, interning_enabled
 from ..model.schema import Database, Schema
@@ -144,12 +145,15 @@ class Session:
             # predicates (apply_delta removes it only on footprint
             # intersection).  The footprint includes *defined* (IDB)
             # names too: a schema predicate sharing a head's name seeds
-            # the fixpoint like any base fact.
+            # the fixpoint like any base fact.  The catalog hands back
+            # the same restricted object every time (and carries it
+            # across commits the footprint misses), so its canonical
+            # form is computed once.
             key_database = footprint = None
             if plan.generic and chosen in FACT_DRIVEN:
                 preds = _program_predicates(plan.query, database.schema)
                 if preds:
-                    key_database = database.restrict(preds)
+                    key_database = Catalog.for_database(database).restrict(preds)
                     footprint = (
                         preds,
                         key_database.adom() | frozenset(plan.query.constants()),
@@ -163,6 +167,7 @@ class Session:
                 extra_key=("backend", chosen),
                 key_database=key_database,
                 footprint=footprint,
+                fingerprint=plan.fingerprint,
             )
             if captured:
                 report = captured[0]

@@ -63,6 +63,7 @@ import heapq
 import itertools
 import threading
 import time
+import weakref
 
 from ..budget import DEFAULT_LIMITS, Budget
 from ..engine.deadline import DeadlineBudget, DeadlineExceeded
@@ -371,6 +372,10 @@ class QueryService:
         self._sessions: dict = {}
         self._writer_locks: dict = {}
         self._registry_lock = threading.RLock()
+        #: name -> (weakref to a database, its ``state_sha256``): a
+        #: commit makes a new database object, so a stale digest can
+        #: never match, and scrapes between commits hash nothing.
+        self._state_digests: dict = {}
         seeds = dict(databases or {})
         if self.store is not None:
             # Disk wins: recover everything on disk, seed the rest.
@@ -843,9 +848,7 @@ class QueryService:
                     **durable.stats.as_dict(),
                     "lsn": durable.lsn,
                     "wal_size": durable.wal.size(),
-                    "state_sha256": hashlib.sha256(
-                        canonical_state_bytes(session.database)
-                    ).hexdigest(),
+                    "state_sha256": self._state_sha256(name, session.database),
                 }
         return {
             "service": {
@@ -861,6 +864,17 @@ class QueryService:
             "slow_queries": self.traces.tail(trace_limit, slow=True),
             "traces": self.traces.tail(trace_limit),
         }
+
+    def _state_sha256(self, name: str, database: Database) -> str:
+        """The sha256 of *database*'s canonical state bytes, computed
+        once per database object (held weakly, so no superseded state
+        is pinned)."""
+        entry = self._state_digests.get(name)
+        if entry is not None and entry[0]() is database:
+            return entry[1]
+        digest = hashlib.sha256(canonical_state_bytes(database)).hexdigest()
+        self._state_digests[name] = (weakref.ref(database), digest)
+        return digest
 
     # -- lifecycle ------------------------------------------------------
 

@@ -129,6 +129,65 @@ class TestWireUpdate:
         assert len(store["state_sha256"]) == 64
 
 
+class TestStateDigest:
+    def _count_state_bytes(self, monkeypatch) -> list:
+        from repro.serve import service as service_module
+
+        calls: list = []
+        real = service_module.canonical_state_bytes
+
+        def counting(database):
+            calls.append(database)
+            return real(database)
+
+        monkeypatch.setattr(service_module, "canonical_state_bytes", counting)
+        return calls
+
+    def test_scrapes_between_commits_hash_once(self, durable_service, monkeypatch):
+        calls = self._count_state_bytes(monkeypatch)
+        first = durable_service.stats()["databases"]["main"]["store"]["state_sha256"]
+        second = durable_service.stats()["databases"]["main"]["store"]["state_sha256"]
+        assert first == second
+        assert len(calls) == 1
+
+    def test_update_changes_the_digest_to_a_fresh_one(
+        self, durable_service, monkeypatch
+    ):
+        import hashlib
+
+        from repro.store import canonical_state_bytes
+
+        before = durable_service.stats()["databases"]["main"]["store"]["state_sha256"]
+        durable_service.update("main", asserts={"E": [["c", "d"]]}).raise_for_status()
+        calls = self._count_state_bytes(monkeypatch)
+        after = durable_service.stats()["databases"]["main"]["store"]["state_sha256"]
+        assert len(calls) == 1
+        assert after != before
+        database = durable_service.session("main").database
+        assert after == hashlib.sha256(canonical_state_bytes(database)).hexdigest()
+
+    def test_digest_survives_restart(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        service = QueryService(
+            {"main": graph_db([("a", "b")])},
+            workers=1, intern=False, data_dir=data_dir, sync=False,
+        )
+        service.stats()  # memoize the pre-update digest
+        service.update("main", asserts={"E": [["b", "c"]]}).raise_for_status()
+        sha = service.stats()["databases"]["main"]["store"]["state_sha256"]
+        service.close()
+        recovered = QueryService(
+            workers=1, intern=False, data_dir=data_dir, sync=False
+        )
+        try:
+            assert (
+                recovered.stats()["databases"]["main"]["store"]["state_sha256"]
+                == sha
+            )
+        finally:
+            recovered.close()
+
+
 class TestDurableLifecycle:
     def test_restart_recovers_identical_state(self, tmp_path):
         data_dir = str(tmp_path / "data")
