@@ -78,7 +78,7 @@ def test_cold_plan_overhead_within_five_percent(benchmark, engine_record):
 
     # Cold catalog profile vs the legacy inline recomputation, scaled
     # against a whole cold plan: the bookkeeping the catalog adds
-    # (registry insert + dict copy) must be noise at plan granularity.
+    # (the registry insert) must be noise at plan granularity.
     # Both sides see fresh databases — ``adom()`` memoizes per value,
     # so reusing one database would flatter the baseline.
     legacy_sets = [_fresh_databases() for _ in range(3)]
@@ -104,7 +104,7 @@ def test_cold_plan_overhead_within_five_percent(benchmark, engine_record):
     )
     overhead_pct = 100.0 * max(cold_profile - legacy, 0.0) / plan_time
 
-    # Warm plans reuse the memoized base profile outright.
+    # Warm plans reuse the memoized profile outright.
     warm_db = chain_graph(CHAIN)
     build_plan(query, warm_db)
     warm_profile = (

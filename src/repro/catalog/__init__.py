@@ -26,8 +26,7 @@ own private slack constants.  The catalog centralises all of it:
   across committed :class:`~repro.store.tx.FactDelta`\\ s (durable
   databases never cold-rescan), the database's canonical forms and
   restrict views computed once and carried across commits (the memo
-  cache's keys), and the feedback loop folding post-execution actuals
-  back in as integer correction factors.
+  cache's keys).
 
 Layering: at import time the catalog needs only :mod:`repro.model` and
 :mod:`repro.obs`, so every other subsystem (engine, deductive, query,

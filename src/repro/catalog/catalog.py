@@ -1,6 +1,5 @@
 """The per-database catalog: memoized profile, lazy relation stats,
-canonical forms and restrict views, incremental migration, and the
-actuals feedback loop.
+canonical forms and restrict views, and incremental migration.
 
 One :class:`Catalog` exists per live :class:`~repro.model.schema.
 Database` object, found via :meth:`Catalog.for_database`.  The registry
@@ -10,7 +9,7 @@ so identity keying is both correct (a database's statistics never
 change) and far cheaper than value keying.  Entries evict themselves
 when their database is collected.
 
-Five jobs:
+Four jobs:
 
 * :meth:`profile` replaces the old per-``build_plan`` recomputation of
   ``database_profile`` — sizes, total facts, active-domain size and
@@ -33,11 +32,11 @@ Five jobs:
   every view whose predicates the delta leaves untouched to the new
   catalog, so a rule-block query over ``R`` stays a memo hit across a
   commit to ``E`` without re-canonicalising.
-* :meth:`observe` folds post-execution actuals (estimated vs. actual
-  rows of a kernel step) into per-relation integer correction factors
-  (percent, EWMA-smoothed, clamped); the planner scales its effective
-  sizes by them, and EXPLAIN ANALYZE renders them next to ``est=`` so
-  drift is observable.
+
+Everything a catalog serves is a function of its database alone —
+nothing an execution observes is written back — so a plan priced from
+it depends only on the query text and the data, never on what ran
+earlier.
 
 A catalog never holds its own database strongly: the registry entry
 would then pin the database it is meant to outlive.  Both memoized
@@ -59,25 +58,19 @@ from .stats import RelStats
 
 __all__ = ["Catalog"]
 
-#: Correction factors are clamped to this percent range: a single
-#: pathological observation can at most quarter or quadruple an
-#: effective size, and repeated drift saturates instead of exploding.
-CORRECTION_MIN = 25
-CORRECTION_MAX = 400
-
 #: id(database) -> (weakref to the database, its Catalog).
 _REGISTRY: dict = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
 class Catalog:
-    """Statistics, profile, and correction state of one database."""
+    """Statistics, profile, canonical forms and restrict views of one
+    database."""
 
     __slots__ = (
         "_database",
         "_rels",
-        "_base_profile",
-        "_corrections",
+        "_profile",
         "_canonical",
         "_restricts",
         "_lock",
@@ -86,8 +79,7 @@ class Catalog:
     def __init__(self, database):
         self._database = weakref.ref(database)
         self._rels: dict = {}
-        self._base_profile: dict | None = None
-        self._corrections: dict = {}
+        self._profile: dict | None = None
         #: frozenset(constants) -> (canonical database, or ``None`` when
         #: it is the database itself; renaming; inverse renaming).
         self._canonical: OrderedDict = OrderedDict()
@@ -126,16 +118,14 @@ class Catalog:
 
         ``sizes``/``total_facts``/``adom``/``max_depth`` are the raw
         instance statistics (cheap: sizes are ``len``, adom and depth
-        come from cached value metadata); ``est_sizes`` scales each
-        size by the relation's current correction factor and
-        ``corrections`` snapshots the non-neutral factors — both
-        recomputed per call so a fresh plan sees current feedback.
+        come from cached value metadata).  The same dict is returned on
+        every call; callers must not mutate it.
         """
-        base = self._base_profile
-        if base is None:
+        profile = self._profile
+        if profile is None:
             database = self._require_database()
             sizes = {name: len(database[name].items) for name in database}
-            base = self._base_profile = {
+            profile = self._profile = {
                 "sizes": sizes,
                 "total_facts": sum(sizes.values()),
                 "adom": len(database.adom()),
@@ -143,20 +133,6 @@ class Catalog:
                     (database[name].depth for name in database), default=0
                 ),
             }
-        with self._lock:
-            corrections = {
-                name: factor
-                for name, factor in self._corrections.items()
-                if factor != 100
-            }
-        profile = dict(base)
-        profile["est_sizes"] = {
-            name: max((size * corrections.get(name, 100)) // 100, 1)
-            if size
-            else 0
-            for name, size in base["sizes"].items()
-        }
-        profile["corrections"] = corrections
         return profile
 
     def _require_database(self):
@@ -250,9 +226,8 @@ class Catalog:
 
         Untouched relations share their ``RelStats`` objects with the
         predecessor (stats are only mutated on fresh copies here);
-        touched relations replay just the delta's facts.  Correction
-        factors carry over unchanged — drift feedback survives commits.
-        Relations the predecessor never materialised stay lazy.
+        touched relations replay just the delta's facts.  Relations the
+        predecessor never materialised stay lazy.
 
         Restrict views over predicates disjoint from the delta carry
         over as the *same objects*: the commit shares every untouched
@@ -276,71 +251,26 @@ class Catalog:
                 updated.remove(fact)
             catalog._rels[name] = updated
         with predecessor._lock:
-            corrections = dict(predecessor._corrections)
             views = [
                 (preds, view)
                 for preds, view in predecessor._restricts.items()
                 if preds.isdisjoint(touched)
             ]
         with catalog._lock:
-            catalog._corrections.update(corrections)
             for preds, view in views:
                 catalog._restricts.setdefault(preds, view)
             _trim(catalog._restricts)
         return catalog
 
-    # -- feedback -------------------------------------------------------
-
-    def correction(self, name: str) -> int:
-        """The current correction factor of *name*, in percent."""
-        with self._lock:
-            return self._corrections.get(name, 100)
-
-    def observe(self, name: str, est: int, actual: int) -> int:
-        """Fold one (estimate, actual) pair into *name*'s correction.
-
-        The observation is the actual/estimate ratio in integer
-        percent, clamped to ``[CORRECTION_MIN, CORRECTION_MAX]``;
-        the stored factor moves halfway toward it (an integer EWMA),
-        so one outlier shifts it but cannot whipsaw it.  Returns the
-        updated factor.
-        """
-        observed = (100 * max(actual, 0)) // max(est, 1)
-        observed = min(max(observed, CORRECTION_MIN), CORRECTION_MAX)
-        with self._lock:
-            current = self._corrections.get(name, 100)
-            updated = (current + observed) // 2
-            self._corrections[name] = updated
-            return updated
-
-    def feedback(self) -> dict:
-        """All non-neutral correction factors (name -> percent)."""
-        with self._lock:
-            return {
-                name: factor
-                for name, factor in sorted(self._corrections.items())
-                if factor != 100
-            }
-
-    def reset_feedback(self) -> None:
-        """Drop all correction factors (golden tests start cold)."""
-        with self._lock:
-            self._corrections.clear()
-
     # -- observability --------------------------------------------------
 
     def metrics(self) -> dict:
         """The catalog as flat dotted-key readings — the
-        :mod:`repro.obs` schema (``relations.<name>.size``,
-        ``corrections.<name>``), the single shape :meth:`snapshot`
-        and every exporter render from."""
+        :mod:`repro.obs` schema (``relations.<name>.size``, ...), the
+        single shape :meth:`snapshot` and every exporter render from."""
         database = self._require_database()
-        flat: dict = {"corrections": self.feedback() or {}}
-        for name in database:
-            flat.update(flatten(f"relations.{name}", self.rel(name).snapshot()))
-        if not any(key.startswith("relations.") for key in flat):
-            flat["relations"] = {}
-        return flatten("", flat)
+        relations = {name: self.rel(name).snapshot() for name in database}
+        return flatten("", {"relations": relations})
 
     def snapshot(self) -> dict:
         """A JSON-ready catalog summary for the serve STATS verb —

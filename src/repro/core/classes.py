@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..budget import Budget
-from ..errors import UNDEFINED
 from ..model.domains import hyp
 from ..model.schema import Database
 from ..model.genericity import check_domain_preserving, check_generic
@@ -72,12 +70,3 @@ def elementary_time_bound(level: int, input_size: int, cap: int = 10**9) -> int:
     """``hyp_level(input_size)`` — the class-E resource ceiling."""
     return hyp(level, input_size, cap)
 
-
-def run_with_budget(query: QueryFunction, database: Database, budget: Budget):
-    """Run a query under an explicit budget, mapping overruns to ``?``."""
-    from ..errors import BudgetExceeded
-
-    try:
-        return query.func(database)
-    except BudgetExceeded:
-        return UNDEFINED

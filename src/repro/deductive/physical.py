@@ -11,7 +11,6 @@ actuals.
 from __future__ import annotations
 
 from ..engine.ops import OpStats
-from .ast import PredLit
 
 __all__ = ["fixpoint_stats", "col_physical", "bk_physical"]
 
@@ -37,17 +36,11 @@ def col_physical(trace, label: str, stats: OpStats | None, interp) -> None:
     for kernel in cache.kernels():
         node = root.child("RuleKernel", kernel.describe())
         for step in kernel.steps:
-            child = node.child(
+            node.child(
                 "Step",
                 f"{step.plan.label()} est={step.plan.est_out}",
                 step.stats,
             )
-            literal = step.plan.literal
-            if step.plan.kind in ("seed", "gen") and isinstance(literal, PredLit):
-                # Feedback hook: the planner folds this step's actual
-                # rows against its estimate into the database catalog
-                # and appends the correction factor to the label.
-                child.meta = (literal.name, step.plan.est_out)
     trace.kernel_stats = cache.counters()
 
 

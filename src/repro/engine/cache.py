@@ -66,7 +66,6 @@ class CacheStats:
     misses: int = 0
     bypasses: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -78,7 +77,6 @@ class CacheStats:
             "misses": self.misses,
             "bypasses": self.bypasses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate(), 4),
         }
 
@@ -180,7 +178,6 @@ class MemoCache:
 
     def __init__(self, max_entries: int = 256):
         self._entries: OrderedDict = OrderedDict()
-        self._footprints: dict = {}
         self._lock = threading.RLock()
         self.max_entries = max_entries
         self.stats = CacheStats()
@@ -195,7 +192,6 @@ class MemoCache:
         generic: bool = True,
         extra_key=(),
         key_database: Database | None = None,
-        footprint: tuple | None = None,
         fingerprint: str | None = None,
     ):
         """Evaluate ``fn(database)``, consulting the cache when allowed.
@@ -211,13 +207,12 @@ class MemoCache:
         restricted to the query's predicate footprint when the chosen
         backend provably reads nothing else, so entries survive updates
         to unrelated predicates.  ``fn`` still receives the full
-        *database*.  *footprint* is ``(frozenset of predicate names,
-        frozenset of atoms)`` recorded with the entry for
-        :meth:`invalidate`; entries without one are never invalidated
-        (their full-database key can only be hit by the identical
-        database, so a committed delta makes them unreachable, not
-        wrong).  *fingerprint*, when given, is the caller's already
-        computed ``program_fingerprint(program)``.
+        *database*.  Nothing is ever invalidated: an entry's key embeds
+        the (canonical) data it was computed from, so a committed delta
+        that changes that data makes it unreachable, not wrong, and a
+        database state that recurs hits it again.  Entries leave only
+        by LRU eviction.  *fingerprint*, when given, is the caller's
+        already computed ``program_fingerprint(program)``.
         """
         if not generic:
             with self._lock:
@@ -254,40 +249,10 @@ class MemoCache:
             )
             with self._lock:
                 self._entries[key] = canonical_result
-                if footprint is not None:
-                    self._footprints[key] = footprint
                 while len(self._entries) > self.max_entries:
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._footprints.pop(evicted, None)
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
         return result
-
-    def invalidate(self, preds: Iterable[str] = (), atoms: Iterable[Atom] = ()) -> int:
-        """Remove entries whose recorded footprint intersects a delta.
-
-        *preds* / *atoms* are the committed delta's predicate and atom
-        footprints; an entry goes when its predicate set meets *preds*
-        **or** its atom set meets *atoms* (conservative — predicate
-        intersection alone decides correctness, the atom check only
-        widens it).  Entries with no recorded footprint are kept: their
-        key embeds the full pre-delta database, which no post-delta
-        query can produce, so they age out through the LRU instead.
-        Returns the number of entries removed (also counted in
-        :attr:`stats` ``invalidations``).
-        """
-        preds = frozenset(preds)
-        atoms = frozenset(atoms)
-        removed = 0
-        with self._lock:
-            for key, (entry_preds, entry_atoms) in list(self._footprints.items()):
-                if (preds and not preds.isdisjoint(entry_preds)) or (
-                    atoms and not atoms.isdisjoint(entry_atoms)
-                ):
-                    self._entries.pop(key, None)
-                    del self._footprints[key]
-                    removed += 1
-            self.stats.invalidations += removed
-        return removed
 
     def __len__(self) -> int:
         with self._lock:
@@ -296,4 +261,3 @@ class MemoCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._footprints.clear()

@@ -25,17 +25,13 @@ __all__ = ["PhysNode", "PhysicalTrace"]
 class PhysNode:
     """One operator instance in a physical plan tree."""
 
-    __slots__ = ("op", "detail", "stats", "children", "meta")
+    __slots__ = ("op", "detail", "stats", "children")
 
     def __init__(self, op: str, detail: str = "", stats: OpStats | None = None):
         self.op = op
         self.detail = detail
         self.stats = stats if stats is not None else OpStats()
         self.children: list[PhysNode] = []
-        #: Optional machine-readable annotation — the deductive adapters
-        #: tag kernel-step nodes with ``(relation, estimate)`` so the
-        #: planner's feedback pass can fold actuals into the catalog.
-        self.meta = None
 
     def child(self, op: str, detail: str = "", stats: OpStats | None = None) -> "PhysNode":
         node = PhysNode(op, detail, stats)

@@ -70,11 +70,6 @@ def counter_rank(value: Value, seed: Value) -> int | None:
     return None
 
 
-def canonical_order(values: Iterable[Value]) -> list:
-    """Alias of :func:`repro.model.values.canonical_sort` for discoverability."""
-    return canonical_sort(values)
-
-
 def enumerate_orderings(
     atoms: Iterable[Atom],
     limit: int | None = None,

@@ -32,12 +32,6 @@ def render_plan(plan: Plan) -> str:
             f"max depth {profile['max_depth']}"
         ),
     ]
-    corrections = profile.get("corrections") or {}
-    if corrections:
-        noted = ", ".join(
-            f"{name}={factor}%" for name, factor in sorted(corrections.items())
-        )
-        lines.append(f"  corrections: {noted}")
     if plan.rewrites:
         lines.append("  rewrites:")
         for rewrite in plan.rewrites:

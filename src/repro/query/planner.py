@@ -216,9 +216,8 @@ class ExecutionReport:
 
 
 def _instance_size(profile: dict, name: str) -> int:
-    """The feedback-corrected effective size of one instance."""
-    sizes = profile.get("est_sizes") or profile["sizes"]
-    return sizes.get(name, profile["total_facts"])
+    """The size of one instance (all facts for a non-schema name)."""
+    return profile["sizes"].get(name, profile["total_facts"])
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +636,8 @@ def build_plan(
     """Price every applicable backend for *query* on *database*.
 
     Instance statistics come from the database's memoized
-    :class:`~repro.catalog.Catalog` — sizes, active domain, max depth,
-    plus the feedback-corrected effective sizes the cost functions
-    price against.
+    :class:`~repro.catalog.Catalog` — sizes, active domain, max depth —
+    so the plan is a function of *query* and *database* alone.
     """
     profile = Catalog.for_database(database).profile()
     generic = True
@@ -694,7 +692,6 @@ def execute_plan(
     candidate = plan.candidate(backend) if backend else plan.chosen
     trace = PhysicalTrace()
     result = candidate.run(database, budget, trace=trace)
-    _observe_actuals(trace, database)
     return ExecutionReport(
         candidate.backend,
         result,
@@ -704,24 +701,3 @@ def execute_plan(
         kernel_cache=trace.kernel_stats,
         op_totals=trace.totals(),
     )
-
-
-def _observe_actuals(trace, database: Database) -> None:
-    """Close the feedback loop: fold each kernel step's (estimate,
-    actual) pair into the database catalog's correction factors, and
-    annotate the step node with the updated factor so EXPLAIN ANALYZE
-    renders ``est=`` vs. actual rows vs. correction."""
-    if trace.root is None:
-        return
-    catalog = None
-    pending = [trace.root]
-    while pending:
-        node = pending.pop()
-        pending.extend(node.children)
-        if node.meta is None:
-            continue
-        name, est = node.meta
-        if catalog is None:
-            catalog = Catalog.for_database(database)
-        factor = catalog.observe(name, est, node.stats.rows_out)
-        node.detail = f"{node.detail} corr={factor}%"

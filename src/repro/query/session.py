@@ -142,22 +142,18 @@ class Session:
             # Fact-driven backends provably read only the query's own
             # predicates, so the memo key uses the database *restricted*
             # to them — the entry then survives deltas to other
-            # predicates (apply_delta removes it only on footprint
-            # intersection).  The footprint includes *defined* (IDB)
-            # names too: a schema predicate sharing a head's name seeds
-            # the fixpoint like any base fact.  The catalog hands back
-            # the same restricted object every time (and carries it
-            # across commits the footprint misses), so its canonical
-            # form is computed once.
-            key_database = footprint = None
+            # predicates, and a delta to its own predicates changes the
+            # key.  The footprint includes *defined* (IDB) names too: a
+            # schema predicate sharing a head's name seeds the fixpoint
+            # like any base fact.  The catalog hands back the same
+            # restricted object every time (and carries it across
+            # commits the footprint misses), so its canonical form is
+            # computed once.
+            key_database = None
             if plan.generic and chosen in FACT_DRIVEN:
                 preds = _program_predicates(plan.query, database.schema)
                 if preds:
                     key_database = Catalog.for_database(database).restrict(preds)
-                    footprint = (
-                        preds,
-                        key_database.adom() | frozenset(plan.query.constants()),
-                    )
             result = self.memo.run(
                 evaluate,
                 plan,
@@ -166,7 +162,6 @@ class Session:
                 generic=plan.generic,
                 extra_key=("backend", chosen),
                 key_database=key_database,
-                footprint=footprint,
                 fingerprint=plan.fingerprint,
             )
             if captured:
@@ -265,10 +260,11 @@ class Session:
         *delta* (a :class:`~repro.store.tx.FactDelta`), keeping every
         cache that provably survives.
 
-        * **Memo**: entries keyed on a restricted database are removed
-          only when their footprint intersects the delta
-          (:meth:`MemoCache.invalidate`); full-database entries become
-          unreachable and age out.
+        * **Memo**: untouched.  Every entry is keyed on the data it was
+          computed from (the whole database, or its restriction to the
+          query's footprint), so an entry the delta affects is simply
+          unreachable from the new state and ages out through the LRU
+          — and hits again if that state recurs.
         * **Plans**: entries for the old database whose program
           footprint is disjoint from the delta are re-keyed to the new
           database *preserving the Plan object* — its fingerprint (and
@@ -282,7 +278,6 @@ class Session:
         """
         old = self.database
         stats = {
-            "invalidations": 0,
             "plans_migrated": 0,
             "plans_dropped": 0,
             "views_refreshed": 0,
@@ -293,7 +288,6 @@ class Session:
             self.database = new_database
             return stats
         touched = delta.predicates()
-        stats["invalidations"] = self.memo.invalidate(touched, delta.atoms())
         for key, plan in self.plans.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 continue

@@ -51,9 +51,8 @@ before the session's caches and materialized views are maintained
 incrementally.  Writes are serialized **per database** (single-writer)
 while queries against other databases proceed; the store's counters
 (``store.wal.appends``, ``store.wal.bytes``, ``store.snapshots``,
-``store.recoveries``, ``store.incremental_rounds``,
-``store.invalidations``) surface in STATS next to a ``state_sha256`` of
-each database's canonical bytes.
+``store.recoveries``, ``store.incremental_rounds``) surface in STATS
+next to a ``state_sha256`` of each database's canonical bytes.
 """
 
 from __future__ import annotations
@@ -349,7 +348,6 @@ class QueryService:
             "deductive.kernels.invalidations",
             "store.wal.appends", "store.wal.bytes", "store.snapshots",
             "store.recoveries", "store.incremental_rounds",
-            "store.invalidations",
             "engine.ops.rows_in", "engine.ops.rows_out", "engine.ops.probes",
             "engine.ops.index_builds", "engine.ops.rounds",
         ):
@@ -761,9 +759,6 @@ class QueryService:
             self.metrics.counter("serve.updates.applied").inc()
             self.metrics.counter("store.incremental_rounds").inc(
                 maintenance["incremental_rounds"]
-            )
-            self.metrics.counter("store.invalidations").inc(
-                maintenance["invalidations"]
             )
             trace.backend = "store" if durable is not None else "memory"
         except ReproError as exc:

@@ -56,8 +56,6 @@ class StoreStats:
         "snapshots",
         "recoveries",
         "replayed_records",
-        "incremental_rounds",
-        "invalidations",
     )
 
     def __init__(self):

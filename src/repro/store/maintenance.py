@@ -19,8 +19,8 @@ program is maintainable.
 **Retractions** are not incrementally maintainable this way (deleting
 a base fact can strand derived facts, and deletion-rederivation is out
 of scope), so the registry *drops* any view whose predicate footprint
-intersects a retraction and leaves the rest untouched — the targeted
-invalidation the session layer mirrors for its memo and plan caches.
+intersects a retraction and leaves the rest untouched — the same
+footprint test the session layer applies to its plan cache.
 
 Views refresh under their own fresh :class:`~repro.budget.Budget` (a
 maintenance pass must not drain the querying session's allowance); a
@@ -197,14 +197,11 @@ class ViewRegistry:
     observes a view mid-refresh.
     """
 
-    __slots__ = ("_views", "_lock", "incremental_rounds", "refreshes", "drops")
+    __slots__ = ("_views", "_lock")
 
     def __init__(self):
         self._views: dict = {}
         self._lock = threading.RLock()
-        self.incremental_rounds = 0
-        self.refreshes = 0
-        self.drops = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -220,8 +217,7 @@ class ViewRegistry:
 
     def drop(self, key) -> None:
         with self._lock:
-            if self._views.pop(key, None) is not None:
-                self.drops += 1
+            self._views.pop(key, None)
 
     def lookup(self, key, database: Database):
         """The view for *key* if it is current for *database*."""
@@ -265,8 +261,6 @@ class ViewRegistry:
                 except BudgetExceeded:
                     self.drop(key)
                     dropped += 1
-            self.incremental_rounds += rounds
-            self.refreshes += refreshed
             return {
                 "refreshed": refreshed,
                 "dropped": dropped,

@@ -10,8 +10,8 @@ logged delta is exact and idempotent).
 
 The delta is what the rest of the subsystem keys on: the WAL logs it,
 incremental maintenance feeds its asserts to the semi-naive engine as
-a delta round, and the targeted cache invalidation intersects its
-predicate/atom footprint with cached entries'.
+a delta round, and the catalog, plan cache and views carry over
+whatever its predicate footprint leaves untouched.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Mapping
 from ..catalog import Catalog
 from ..errors import ReproError
 from ..model.schema import Database
-from ..model.values import SetVal, Value, adom as value_adom
+from ..model.values import SetVal, Value
 
 __all__ = ["FactDelta", "TxError", "apply_ops", "validate_ops"]
 
@@ -36,9 +36,8 @@ class FactDelta:
     ``asserted`` / ``retracted`` map predicate names to tuples of
     values (canonically ordered, so two equal deltas encode
     identically).  A delta also knows its *footprint* — the predicates
-    it touches and the atoms of the touched facts — which is what the
-    targeted invalidation in :meth:`repro.query.session.Session.
-    apply_delta` intersects cached entries against.
+    it touches — which :meth:`repro.query.session.Session.apply_delta`
+    checks each cached plan and view against.
     """
 
     __slots__ = ("asserted", "retracted")
@@ -64,15 +63,6 @@ class FactDelta:
 
     def predicates(self) -> frozenset:
         return frozenset(self.asserted) | frozenset(self.retracted)
-
-    def atoms(self) -> frozenset:
-        """Atoms of every touched fact (the delta's atom footprint)."""
-        atoms: frozenset = frozenset()
-        for batches in (self.asserted, self.retracted):
-            for facts in batches.values():
-                for fact in facts:
-                    atoms |= value_adom(fact)
-        return atoms
 
     def counts(self) -> tuple:
         """``(asserted facts, retracted facts)``."""

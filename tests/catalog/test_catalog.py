@@ -1,12 +1,11 @@
 """Catalog lifecycle: registry, memoized profile, incremental
-migration across commits, and the actuals feedback loop."""
+migration across commits, and the absence of any execution feedback."""
 
 import gc
 
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog, RelStats
-from repro.catalog.catalog import CORRECTION_MAX, CORRECTION_MIN
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
 from repro.store.tx import apply_ops
@@ -57,20 +56,8 @@ class TestProfile:
     def test_base_profile_is_memoized(self):
         database = _db()
         catalog = Catalog.for_database(database)
-        catalog.profile()
-        first = catalog._base_profile
-        catalog.profile()
-        assert catalog._base_profile is first
-
-    def test_est_sizes_track_corrections(self):
-        database = _db()
-        catalog = Catalog.for_database(database)
-        assert catalog.profile()["est_sizes"] == {"R": 2, "S": 1}
-        catalog.observe("R", est=1, actual=4)  # drifts toward 400%
-        profile = catalog.profile()
-        assert profile["est_sizes"]["R"] > profile["sizes"]["R"]
-        assert profile["est_sizes"]["S"] == 1
-        assert profile["corrections"] == {"R": catalog.correction("R")}
+        first = catalog.profile()
+        assert catalog.profile() is first
 
     def test_rel_stats_are_lazy_and_cached(self):
         database = _db()
@@ -84,31 +71,8 @@ class TestProfile:
 
 
 class TestFeedback:
-    def test_observation_is_clamped(self):
-        over, under = _db(), _db()
-        catalog = Catalog.for_database(over)
-        catalog.observe("R", est=1, actual=10**6)
-        assert catalog.correction("R") == (100 + CORRECTION_MAX) // 2
-        catalog = Catalog.for_database(under)
-        catalog.observe("R", est=10**6, actual=0)
-        assert catalog.correction("R") == (100 + CORRECTION_MIN) // 2
-
-    def test_ewma_converges_without_whipsaw(self):
-        database = _db()
-        catalog = Catalog.for_database(database)
-        factors = [catalog.observe("R", est=2, actual=4) for _ in range(6)]
-        assert factors[0] == 150  # halfway from 100 toward 200
-        assert factors == sorted(factors)  # monotone approach
-        assert factors[-1] <= 200
-
-    def test_reset_feedback(self):
-        database = _db()
-        catalog = Catalog.for_database(database)
-        catalog.observe("R", est=1, actual=3)
-        assert catalog.feedback()
-        catalog.reset_feedback()
-        assert catalog.feedback() == {}
-        assert catalog.profile()["corrections"] == {}
+    """Nothing an execution observes is written back to the catalog:
+    its readings are a function of the database alone."""
 
     def test_snapshot_is_json_ready(self):
         import json
@@ -116,11 +80,10 @@ class TestFeedback:
         database = _db()
         catalog = Catalog.for_database(database)
         catalog.rel("R")
-        catalog.observe("R", est=1, actual=3)
         snapshot = catalog.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["relations"]["R"]["size"] == 2
-        assert "R" in snapshot["corrections"]
+        assert set(snapshot) == {"relations"}
 
 
 class TestMigrate:
@@ -147,13 +110,6 @@ class TestMigrate:
         migrated = Catalog.for_database(new_db).rel("R")
         rescanned = RelStats.from_facts(new_db["R"].items)
         assert migrated.snapshot() == rescanned.snapshot()
-
-    def test_corrections_survive_commits(self):
-        database = _db()
-        Catalog.for_database(database).observe("R", est=1, actual=3)
-        factor = Catalog.for_database(database).correction("R")
-        new_db, _ = apply_ops(database, asserts={"S": [Atom("z")]})
-        assert Catalog.for_database(new_db).correction("R") == factor
 
     def test_unmaterialised_relations_stay_lazy(self):
         database = _db()

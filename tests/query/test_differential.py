@@ -20,7 +20,6 @@ import pathlib
 import pytest
 
 from repro.budget import Budget
-from repro.catalog import Catalog
 from repro.errors import is_undefined
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
@@ -108,16 +107,6 @@ def _plan(db_key, text):
     return build_plan(parse(text, schema=database.schema), database), database
 
 
-def _reset_feedback():
-    """Drop accumulated cardinality corrections on the bank databases.
-
-    Golden renderings must not depend on which tests executed plans
-    earlier in the same process, so each golden bank starts from a
-    feedback-free catalog."""
-    for database in DATABASES.values():
-        Catalog.for_database(database).reset_feedback()
-
-
 class TestDifferential:
     @pytest.mark.parametrize("db_key,text", BANK, ids=_ids())
     def test_all_backends_agree(self, db_key, text):
@@ -146,10 +135,29 @@ class TestDifferential:
         forms = {_plan(db, text)[0].query.form for db, text in BANK}
         assert forms == {"literal", "comprehension", "pipeline", "rules", "bk", "gtm"}
 
+    def test_plans_are_history_independent(self):
+        """A plan is a function of (query, database): executing the
+        whole bank (each plan's chosen backend, three times) leaves
+        every later plan's candidates, costs and memo fingerprint
+        exactly as they were."""
+
+        def snapshot():
+            plans = [_plan(db_key, text)[0] for db_key, text in BANK]
+            return [
+                ([(c.backend, c.cost) for c in plan.candidates], plan.fingerprint)
+                for plan in plans
+            ]
+
+        before = snapshot()
+        for _ in range(3):
+            for db_key, text in BANK:
+                plan, database = _plan(db_key, text)
+                execute_plan(plan, database, Budget())
+        assert snapshot() == before
+
 
 class TestGoldenExplain:
     def _render_bank(self):
-        _reset_feedback()
         chunks = []
         for db_key, text in BANK:
             plan, _ = _plan(db_key, text)
@@ -198,7 +206,6 @@ ACTUALS_BANK = [
 
 class TestGoldenActuals:
     def _render_bank(self):
-        _reset_feedback()
         chunks = []
         for db_key, text, backend in ACTUALS_BANK:
             plan, database = _plan(db_key, text)
@@ -233,7 +240,6 @@ class TestGoldenActuals:
             entry for entry in ACTUALS_BANK if "S(x). } answer Q" in entry[1]
             and entry[2] == "col-stratified"
         )
-        _reset_feedback()
         plan, database = _plan(db_key, text)
         report = execute_plan(plan, database, Budget(), backend=backend)
         physical = report.physical

@@ -123,7 +123,6 @@ class TestWireUpdate:
         assert metrics["serve.updates.applied"] == 1
         assert metrics["store.wal.appends"] == 1
         assert metrics["store.wal.bytes"] > 0
-        assert metrics["store.invalidations"] >= 0
         store = stats["databases"]["main"]["store"]
         assert store["wal_appends"] == 1 and store["lsn"] == 1
         assert len(store["state_sha256"]) == 64
