@@ -1,4 +1,4 @@
-"""Engine before/after — semi-naive vs naive, interning on vs off.
+"""Engine before/after — semi-naive vs naive, kernels vs nested loops.
 
 Quantifies what :mod:`repro.engine` buys on the deductive workloads of
 E6-E8 and records the numbers into ``BENCH_engine.json`` (via the
@@ -14,9 +14,7 @@ session collector in ``conftest.py``):
 * the E7 BK join rule and the E8 chain prefix under the hash-join
   driver, against ``naive=True``;
 * cost-ordered compiled kernels against the naive textual-order driver
-  on join-order-sensitive workloads;
-* value interning on/off on the TC workload (equality-heavy: every
-  derived pair is re-compared against the full relation each round).
+  on join-order-sensitive workloads.
 
 Every measured pair also cross-checks result equality, so the speed
 numbers can never come from computing something different.
@@ -34,7 +32,6 @@ from repro.deductive.datalog import (
     run_datalog_stratified,
     transitive_closure_datalog,
 )
-from repro.engine.intern import interned
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
 from repro.model.values import Atom, SetVal, Tup
@@ -411,38 +408,3 @@ class TestCanonKeyMetadata:
             speedup=round(speedup, 2),
         )
         assert speedup >= 5.0
-
-
-class TestInterning:
-    def test_bk_chain_interned(self, engine_record):
-        # The E8 chain-to-list rounds rebuild the same nested list
-        # objects constantly (hit rates above 95%) — the dedup-heavy
-        # case interning is for.
-        program = chain_to_list_program()
-        data = chain_for_bk(3)
-        budget_factory = lambda: Budget(
-            objects=None, steps=None, facts=None, iterations=None
-        )
-        plain_time, plain_result = _best_of(
-            lambda: run_bk(program, data, budget_factory(), max_rounds=4)
-        )
-
-        def interned_run():
-            with interned() as interner:
-                out = run_bk(program, data, budget_factory(), max_rounds=4)
-                interned_run.stats = interner.stats()
-                return out
-
-        interned_time, interned_result = _best_of(interned_run)
-        assert interned_result == plain_result
-        stats = interned_run.stats
-        engine_record(
-            "interning_bk_chain",
-            workload="E8 chain-to-list, length 3, 4 rounds",
-            plain_seconds=round(plain_time, 4),
-            interned_seconds=round(interned_time, 4),
-            speedup=round(plain_time / interned_time, 2),
-            intern_hits=stats.hits,
-            intern_misses=stats.misses,
-            intern_hit_rate=round(stats.hit_rate(), 4),
-        )

@@ -123,12 +123,12 @@ def _drive(service):
 
 def test_serve_closed_loop_overhead(engine_record):
     disable_tracing()
-    idle = QueryService(serve_databases(), workers=2, intern=False)
+    idle = QueryService(serve_databases(), workers=2)
     # Armed but quiet: every request pays the counter increments, the
     # suppressed request span, and the slow-log threshold check — none
     # may cost real time.
     armed = QueryService(
-        serve_databases(), workers=2, intern=False, slow_query_ms=1e12
+        serve_databases(), workers=2, slow_query_ms=1e12
     )
 
     def drive_idle():

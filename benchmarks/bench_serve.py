@@ -144,7 +144,7 @@ def test_admission_burst_sheds_load(benchmark, engine_record):
             return UNDEFINED, ExecutionReport("stuck", UNDEFINED, spent={})
 
     def burst():
-        service = QueryService(workers=2, max_queue_depth=8, intern=False)
+        service = QueryService(workers=2, max_queue_depth=8)
         service._sessions["stuck"] = _Stuck()
         admitted, rejected = [], 0
         started = time.perf_counter()

@@ -6,8 +6,8 @@ assertions (who wins / how fast it grows), never absolute numbers.
 
 ``bench_engine.py`` and ``bench_query.py`` additionally record
 before/after timings of the :mod:`repro.engine` paths (naive vs
-semi-naive fixpoints, kernel hash join vs nested loop, interning on vs
-off, planner vs fallback) through the session-scoped
+semi-naive fixpoints, kernel hash join vs nested loop, planner vs
+fallback) through the session-scoped
 :func:`engine_record` fixture; when any were recorded, the session
 merges them into ``BENCH_engine.json`` at the repository root (smoke
 runs under ``--benchmark-disable`` never write).

@@ -61,7 +61,6 @@ from .obs import (
     disable_tracing,
     enable_tracing,
     get_recorder,
-    get_registry,
     render_json,
     render_prometheus,
     span,
@@ -89,7 +88,7 @@ __all__ = [
     "Session", "connect", "parse", "explain", "build_plan", "execute_plan",
     "Catalog", "DurableDatabase", "QueryService", "ServeClient", "Store",
     "MetricsRegistry", "SpanRecorder", "obs",
-    "disable_tracing", "enable_tracing", "get_recorder", "get_registry",
+    "disable_tracing", "enable_tracing", "get_recorder",
     "render_json", "render_prometheus", "span", "tracing",
     "__version__",
 ]

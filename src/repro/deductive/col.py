@@ -137,11 +137,6 @@ class Interp:
         elems.add(element)
         return True
 
-    def fact_count(self) -> int:
-        total = sum(len(v) for v in self.preds.values())
-        total += sum(len(e) for graph in self.funcs.values() for e in graph.values())
-        return total
-
     def instance(self, name: str) -> SetVal:
         return SetVal(self.preds.get(name, set()))
 

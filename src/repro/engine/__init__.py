@@ -1,10 +1,8 @@
 """repro.engine — the shared execution runtime.
 
-Four pieces, usable independently and composed by the benchmark and
+Its pieces are usable independently and composed by the benchmark and
 example harnesses:
 
-* :mod:`~repro.engine.intern` — hash-consing of the value universe
-  (one canonical object per distinct structure, pointer-fast equality);
 * :mod:`~repro.engine.seminaive` — delta-driven fixpoint drivers, the
   default evaluation strategy of the deductive semantics;
 * :mod:`~repro.engine.cache` — genericity-aware memoization keyed on
@@ -20,6 +18,9 @@ example harnesses:
 * :mod:`~repro.engine.exec` — physical execution traces
   (:class:`~repro.engine.exec.PhysicalTrace`) rendered by EXPLAIN as
   per-operator post-run actuals.
+
+Hash-consing is not an engine piece: it is how the value model builds
+every value (:mod:`repro.model.intern`).
 """
 
 from .cache import CacheStats, LRUCache, MemoCache, program_fingerprint
@@ -43,16 +44,6 @@ from .ops import (
     select,
     set_construct,
 )
-from .intern import (
-    InternStats,
-    Interner,
-    disable_interning,
-    enable_interning,
-    intern_stats,
-    intern_value,
-    interned,
-    interning_enabled,
-)
 from .runner import RunReport, RunTask, TaskReport, run_suite
 from .seminaive import seminaive_fixpoint, seminaive_inflationary_fixpoint
 
@@ -67,14 +58,6 @@ __all__ = [
     "DeadlineBudget",
     "DeadlineExceeded",
     "with_deadline",
-    "InternStats",
-    "Interner",
-    "disable_interning",
-    "enable_interning",
-    "intern_stats",
-    "intern_value",
-    "interned",
-    "interning_enabled",
     "RunReport",
     "RunTask",
     "TaskReport",

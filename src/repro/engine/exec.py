@@ -38,10 +38,6 @@ class PhysNode:
         self.children.append(node)
         return node
 
-    def adopt(self, node: "PhysNode") -> "PhysNode":
-        self.children.append(node)
-        return node
-
     def label(self) -> str:
         head = f"{self.op}({self.detail})" if self.detail else self.op
         counters = self.stats.render()

@@ -11,8 +11,8 @@ each task
   ``SIGALRM`` — a task that exceeds it yields ``?``, exactly like a
   budget exhaustion (both are observations of "this computation does
   not finish"), and
-* a fresh per-process **interner** (:mod:`repro.engine.intern`), whose
-  effectiveness counters come back with the result.
+* the task's share of the value **interner**'s counters
+  (:mod:`repro.model.intern`), which comes back with the result.
 
 The outcome is a :class:`RunReport`: per-task results, timings, budget
 spend, interner stats, plus suite-level cache statistics when a
@@ -37,9 +37,9 @@ from typing import Callable, Iterable, Sequence
 
 from ..budget import Budget
 from ..errors import BudgetExceeded, UNDEFINED, is_undefined
+from ..model.intern import INTERNER
 from .cache import MemoCache
 from .deadline import DeadlineExceeded, with_deadline
-from .intern import Interner, enable_interning, intern_stats, interned
 
 #: Default per-task wall-clock timeout (seconds).  Deliberately long —
 #: budgets are the primary divergence observer; the timeout is the
@@ -193,7 +193,7 @@ def _alarm_handler(signum, frame):
     raise _Timeout()
 
 
-def _execute_task(task: RunTask, budget: Budget, timeout: float, intern: bool) -> TaskReport:
+def _execute_task(task: RunTask, budget: Budget, timeout: float) -> TaskReport:
     """Run one task, in whatever process this is.
 
     Module-level so process pools can pickle it.  The SIGALRM timeout
@@ -206,12 +206,7 @@ def _execute_task(task: RunTask, budget: Budget, timeout: float, intern: bool) -
     :class:`~.deadline.DeadlineExceeded`, reported as ``cause
     "timeout"`` exactly like an alarm.
     """
-    if intern:
-        interner: Interner | None = enable_interning()
-        before = interner.stats()
-    else:
-        interner = None
-        before = None
+    before = INTERNER.stats()
     armed = False
     if timeout and timeout > 0 and hasattr(signal, "SIGALRM"):
         try:
@@ -248,15 +243,7 @@ def _execute_task(task: RunTask, budget: Budget, timeout: float, intern: bool) -
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
     elapsed = time.perf_counter() - started
-    if interner is not None and before is not None:
-        after = interner.stats()
-        interner_delta = {
-            "hits": after.hits - before.hits,
-            "misses": after.misses - before.misses,
-            "size": after.size,
-        }
-    else:
-        interner_delta = {}
+    after = INTERNER.stats()
     return TaskReport(
         name=task.name,
         result=result,
@@ -265,7 +252,11 @@ def _execute_task(task: RunTask, budget: Budget, timeout: float, intern: bool) -
         error=error,
         timed_out=timed_out,
         cause=cause,
-        interner=interner_delta,
+        interner={
+            "hits": after.hits - before.hits,
+            "misses": after.misses - before.misses,
+            "size": after.size,
+        },
     )
 
 
@@ -275,7 +266,6 @@ def run_suite(
     budget: Budget | None = None,
     timeout: float | None = DEFAULT_TIMEOUT,
     use_processes: bool = True,
-    intern: bool = True,
     cache: MemoCache | None = None,
 ) -> RunReport:
     """Run *tasks*, in parallel when possible, and report.
@@ -286,6 +276,8 @@ def run_suite(
     in-process path (useful under profilers, or when tasks share
     in-process state such as a :class:`MemoCache` — the cache lives in
     the parent, so cached runs want the serial path to consult it).
+    The report's ``interner`` sums the tasks' hits and misses; its
+    ``size`` is the largest table a task finished with.
     """
     tasks = list(tasks)
     budget = budget or Budget()
@@ -306,7 +298,7 @@ def run_suite(
         try:
             with ProcessPoolExecutor(max_workers=pool_workers) as pool:
                 futures = [
-                    pool.submit(_execute_task, task, task_budget, task_timeout, intern)
+                    pool.submit(_execute_task, task, task_budget, task_timeout)
                     for task, task_budget, task_timeout in plans
                 ]
                 for index, (future, (task, _, task_timeout)) in enumerate(
@@ -335,27 +327,17 @@ def run_suite(
             reports = [None] * len(tasks)
             parallel = False
 
-    interner_summary: dict = {}
     if not parallel:
-        if intern:
-            # Scoped: the suite interner does not outlive the call.
-            with interned():
-                for index, (task, task_budget, task_timeout) in enumerate(plans):
-                    reports[index] = _execute_task(task, task_budget, task_timeout, intern)
-                interner_summary = intern_stats().as_dict()
-        else:
-            for index, (task, task_budget, task_timeout) in enumerate(plans):
-                reports[index] = _execute_task(task, task_budget, task_timeout, intern)
-    elif intern:
-        # Interners lived in the workers; aggregate their per-task deltas.
-        hits = sum(r.interner.get("hits", 0) for r in reports)
-        misses = sum(r.interner.get("misses", 0) for r in reports)
-        interner_summary = {
-            "hits": hits,
-            "misses": misses,
-            "size": sum(r.interner.get("size", 0) for r in reports),
-            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
-        }
+        for index, (task, task_budget, task_timeout) in enumerate(plans):
+            reports[index] = _execute_task(task, task_budget, task_timeout)
+    hits = sum(r.interner.get("hits", 0) for r in reports)
+    misses = sum(r.interner.get("misses", 0) for r in reports)
+    interner_summary = {
+        "hits": hits,
+        "misses": misses,
+        "size": max((r.interner.get("size", 0) for r in reports), default=0),
+        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+    }
 
     wall_time = time.perf_counter() - started
     actual_workers = pool_workers if (parallel and pool_workers) else (

@@ -43,17 +43,18 @@ is O(1):
 order, so ``__iter__``, ``canon_key``, ``__repr__`` and ``__str__``
 never re-sort.
 
-**Interning** (``repro.engine.intern``): construction runs through
-``__new__`` so an optional hash-consing interner can be wired in via
-:func:`set_interner`.  With an interner installed, structurally equal
-values are the *same* Python object, which turns the deep equality used
-by every fixpoint and set-membership check into a pointer comparison
-(every ``__eq__`` below starts with an ``is`` fast path).  An interner
-hit also returns *before* any metadata computation — the cached
-instance already carries it — so interning amortises the one-time
-metadata cost across every structurally equal construction.  Interning
-is transparent: interned and non-interned values compare equal and hash
-identically.
+**Interning** (:mod:`repro.model.intern`): construction runs through
+``__new__``, which consults the module interner and returns the
+canonical instance on a hit, so structurally equal values are the
+*same* Python object.  That turns the deep equality used by every
+fixpoint and set-membership check into a pointer comparison (every
+``__eq__`` below starts with an ``is`` fast path).  A hit also returns
+*before* any metadata computation — the cached instance already
+carries it — so the one-time metadata cost is paid once per distinct
+structure.  Past the interner's cap a new structure is built without
+being stored; such a value compares equal and hashes identically to
+its canonical twin, it is only not the same object.  ⊥ and ⊤ are
+singletons.
 """
 
 from __future__ import annotations
@@ -62,29 +63,9 @@ from operator import attrgetter as _attrgetter
 from typing import Iterable, Iterator, Union
 
 from ..errors import TypeCheckError
+from .intern import INTERNER
 
 AtomLabel = Union[str, int]
-
-#: The installed hash-consing interner (``None`` = interning disabled).
-#: See :mod:`repro.engine.intern`; ``values`` deliberately knows only the
-#: two-method ``lookup``/``store`` protocol so it never imports the engine.
-_INTERNER = None
-
-
-def set_interner(interner) -> None:
-    """Install (or, with ``None``, remove) the construction-time interner.
-
-    *interner* must expose ``lookup(key)`` and ``store(key, value)``.
-    Prefer the managed helpers in :mod:`repro.engine.intern`
-    (``enable_interning`` / ``disable_interning`` / ``interned``).
-    """
-    global _INTERNER
-    _INTERNER = interner
-
-
-def get_interner():
-    """The currently installed interner, or ``None``."""
-    return _INTERNER
 
 # Kind ranks for the canonical order.
 _RANK_BOTTOM = 0
@@ -106,6 +87,10 @@ _set = object.__setattr__
 # Sort key for the construction-time member sort (C-level attribute
 # access beats a lambda on the constructor hot path).
 _canon_of = _attrgetter("_canon")
+
+# The interner's two construction-time entry points, bound once.
+_lookup = INTERNER.lookup
+_store = INTERNER.store
 
 
 def _mix64(*parts: int) -> int:
@@ -177,13 +162,11 @@ class Atom(Value):
             raise TypeCheckError(
                 f"atom labels must be str or int, got {type(label).__name__}"
             )
-        interner = _INTERNER
-        if interner is not None:
-            # bool is excluded above, so (type, label) keys cannot collide.
-            key = ("Atom", label)
-            cached = interner.lookup(key)
-            if cached is not None:
-                return cached
+        # bool is excluded above, so (type, label) keys cannot collide.
+        key = ("Atom", label)
+        cached = _lookup(key)
+        if cached is not None:
+            return cached
         self = super().__new__(cls)
         _set(self, "label", label)
         if isinstance(label, int):
@@ -195,8 +178,7 @@ class Atom(Value):
         _set(self, "size", 1)
         _set(self, "atoms", frozenset((self,)))
         _set(self, "has_top", False)
-        if interner is not None:
-            interner.store(key, self)
+        _store(key, self)
         return self
 
     def __setattr__(self, name, value):
@@ -240,12 +222,10 @@ class Tup(Value):
                 raise TypeCheckError(
                     f"tuple coordinate must be a Value, got {type(item).__name__}"
                 )
-        interner = _INTERNER
-        if interner is not None:
-            key = ("Tup", items)
-            cached = interner.lookup(key)
-            if cached is not None:
-                return cached
+        key = ("Tup", items)
+        cached = _lookup(key)
+        if cached is not None:
+            return cached
         self = super().__new__(cls)
         _set(self, "items", items)
         # One pass over the coordinates fills every metadata slot —
@@ -278,8 +258,7 @@ class Tup(Value):
         else:
             _set(self, "atoms", _EMPTY_ATOMS)
         _set(self, "has_top", has_top)
-        if interner is not None:
-            interner.store(key, self)
+        _store(key, self)
         return self
 
     def __setattr__(self, name, value):
@@ -331,12 +310,10 @@ class SetVal(Value):
                 raise TypeCheckError(
                     f"set member must be a Value, got {type(item).__name__}"
                 )
-        interner = _INTERNER
-        if interner is not None:
-            key = ("SetVal", items)
-            cached = interner.lookup(key)
-            if cached is not None:
-                return cached
+        key = ("SetVal", items)
+        cached = _lookup(key)
+        if cached is not None:
+            return cached
         self = super().__new__(cls)
         members = tuple(sorted(items, key=_canon_of))
         _set(self, "items", items)
@@ -374,8 +351,7 @@ class SetVal(Value):
         else:
             _set(self, "atoms", _EMPTY_ATOMS)
         _set(self, "has_top", has_top)
-        if interner is not None:
-            interner.store(key, self)
+        _store(key, self)
         return self
 
     def __setattr__(self, name, value):
@@ -420,14 +396,7 @@ class Bottom(Value):
     __slots__ = ()
 
     def __new__(cls):
-        self = super().__new__(cls)
-        _set(self, "_canon", (_RANK_BOTTOM,))
-        _set(self, "struct_hash", _mix64(_RANK_BOTTOM))
-        _set(self, "depth", 0)
-        _set(self, "size", 1)
-        _set(self, "atoms", _EMPTY_ATOMS)
-        _set(self, "has_top", False)
-        return self
+        return BOTTOM
 
     def __setattr__(self, name, value):
         raise AttributeError("Bottom is immutable")
@@ -455,14 +424,7 @@ class Top(Value):
     __slots__ = ()
 
     def __new__(cls):
-        self = super().__new__(cls)
-        _set(self, "_canon", (_RANK_TOP,))
-        _set(self, "struct_hash", _mix64(_RANK_TOP))
-        _set(self, "depth", 0)
-        _set(self, "size", 1)
-        _set(self, "atoms", _EMPTY_ATOMS)
-        _set(self, "has_top", True)
-        return self
+        return TOP
 
     def __setattr__(self, name, value):
         raise AttributeError("Top is immutable")
@@ -484,9 +446,21 @@ class Top(Value):
         return "⊤"
 
 
-#: Shared singleton instances (BK code should use these).
-BOTTOM = Bottom()
-TOP = Top()
+def _extreme(cls, rank: int, has_top: bool) -> Value:
+    """Build the one instance of ⊥ or ⊤."""
+    self = object.__new__(cls)
+    _set(self, "_canon", (rank,))
+    _set(self, "struct_hash", _mix64(rank))
+    _set(self, "depth", 0)
+    _set(self, "size", 1)
+    _set(self, "atoms", _EMPTY_ATOMS)
+    _set(self, "has_top", has_top)
+    return self
+
+
+#: The singletons: ``Bottom()`` and ``Top()`` (and unpickling) return these.
+BOTTOM = _extreme(Bottom, _RANK_BOTTOM, False)
+TOP = _extreme(Top, _RANK_TOP, True)
 
 
 class NamedTup(Value):
@@ -508,12 +482,10 @@ class NamedTup(Value):
                 raise TypeCheckError(
                     f"attribute value must be a Value, got {type(item).__name__}"
                 )
-        interner = _INTERNER
-        if interner is not None:
-            key = ("NamedTup", frozen)
-            cached = interner.lookup(key)
-            if cached is not None:
-                return cached
+        key = ("NamedTup", frozen)
+        cached = _lookup(key)
+        if cached is not None:
+            return cached
         self = super().__new__(cls)
         _set(self, "fields", frozen)
         _set(
@@ -538,8 +510,7 @@ class NamedTup(Value):
         _set(self, "size", 1 + sum(item.size for _, item in frozen))
         _set(self, "atoms", _union_atoms(item for _, item in frozen))
         _set(self, "has_top", any(item.has_top for _, item in frozen))
-        if interner is not None:
-            interner.store(key, self)
+        _store(key, self)
         return self
 
     def __setattr__(self, name, value):

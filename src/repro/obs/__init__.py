@@ -1,7 +1,7 @@
 """repro.obs — the one observability layer.  DESIGN.md §2.15.
 
 Before this package the system's telemetry was five incompatible
-ad-hoc surfaces: ``engine/ops.OpStats``, ``engine/intern.InternStats``,
+ad-hoc surfaces: ``engine/ops.OpStats``, the interner's ``InternStats``,
 the memo/plan-LRU counters in ``query/session.py``, the kernel-cache
 counters in ``deductive/kernels.py``, the store counters, and the
 serving layer's private metrics and trace records — each with its own
@@ -40,10 +40,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     flatten,
-    get_registry,
     nest,
-    reset_registry,
-    set_registry,
 )
 from .span import (
     NOOP_SPAN,
@@ -72,13 +69,10 @@ __all__ = [
     "enable_tracing",
     "flatten",
     "get_recorder",
-    "get_registry",
     "nest",
     "render_json",
     "render_prometheus",
-    "reset_registry",
     "sanitize_name",
-    "set_registry",
     "span",
     "tracing",
 ]

@@ -1,4 +1,4 @@
-"""The process-wide metrics registry — the one sink every subsystem
+"""The metrics registry — the one sink every subsystem of a service
 reports into.
 
 Three instrument kinds, the minimum a query service needs to be
@@ -50,9 +50,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "flatten",
     "nest",
-    "get_registry",
-    "set_registry",
-    "reset_registry",
 ]
 
 #: Default histogram bucket upper bounds (seconds) — spans sub-ms cache
@@ -296,33 +293,3 @@ class MetricsRegistry:
         for prefix, collect in collectors:
             snap.update(flatten(prefix, collect()))
         return dict(sorted(snap.items()))
-
-
-# ---------------------------------------------------------------------------
-# The process-wide registry
-# ---------------------------------------------------------------------------
-
-_registry_lock = threading.Lock()
-_registry: MetricsRegistry | None = None
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide registry, created on first use."""
-    global _registry
-    with _registry_lock:
-        if _registry is None:
-            _registry = MetricsRegistry()
-        return _registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install *registry* as the process-wide one (returns it)."""
-    global _registry
-    with _registry_lock:
-        _registry = registry
-        return registry
-
-
-def reset_registry() -> MetricsRegistry:
-    """Swap in a fresh process-wide registry (tests start cold)."""
-    return set_registry(MetricsRegistry())

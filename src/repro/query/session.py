@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..budget import Budget
 from ..catalog import Catalog
 from ..engine.cache import LRUCache, MemoCache, program_fingerprint
-from ..engine.intern import intern_stats, interning_enabled
+from ..model.intern import INTERNER
 from ..model.schema import Database, Schema
 from ..obs.metrics import flatten
 from ..obs.span import span
@@ -325,16 +325,14 @@ class Session:
         }
 
     def counter_snapshot(self) -> dict:
-        """The flat dotted-key form of :meth:`counters`, plus the
-        process-wide interner family when interning is enabled — the
-        exact mapping EXPLAIN's counter block renders from."""
-        flat = {
+        """The flat dotted-key form of :meth:`counters`, plus the value
+        interner's family — the exact mapping EXPLAIN's counter block
+        renders from."""
+        return {
             **flatten("query.memo", self.memo.stats.as_dict()),
             **flatten("query.plans", self.plans.stats.as_dict()),
+            **flatten("engine.intern", INTERNER.stats().as_dict()),
         }
-        if interning_enabled():
-            flat.update(flatten("engine.intern", intern_stats().as_dict()))
-        return flat
 
     # -- explain --------------------------------------------------------
 

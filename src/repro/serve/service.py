@@ -2,11 +2,10 @@
 
 :class:`QueryService` is the serving layer's core: a named-database
 registry where each database gets one long-lived
-:class:`~repro.query.session.Session` whose plan LRU and genericity-
-aware memo cache (both thread-safe since this PR) are **shared by every
-request** against that database — the warm-query speedups measured in
-BENCH_engine.json finally amortise across clients instead of being
-private to one single-threaded session.
+:class:`~repro.query.session.Session` whose thread-safe plan LRU
+(:data:`PLAN_ENTRIES`) and genericity-aware memo cache
+(:data:`MEMO_ENTRIES`) are **shared by every request** against that
+database, so warm queries amortise across clients.
 
 Around that shared state sit the three things a service needs that a
 library call does not:
@@ -66,8 +65,8 @@ import weakref
 
 from ..budget import DEFAULT_LIMITS, Budget
 from ..engine.deadline import DeadlineBudget, DeadlineExceeded
-from ..engine.intern import enable_interning, intern_stats
 from ..errors import BudgetExceeded, ReproError, UNDEFINED
+from ..model.intern import INTERNER
 from ..model.schema import Database
 from ..catalog import Catalog
 from ..catalog.policy import priority_hint
@@ -91,6 +90,12 @@ __all__ = [
     "StoreUnavailable",
     "UnknownDatabase",
 ]
+
+
+#: Per-database result memo capacity (entries).
+MEMO_ENTRIES = 512
+#: Per-database plan LRU capacity (entries).
+PLAN_ENTRIES = 256
 
 
 class ServeError(ReproError):
@@ -290,16 +295,12 @@ class QueryService:
     :class:`AdmissionRejected`.  *default_timeout* — per-request
     deadline in seconds when the request does not bring its own
     (``None`` disables).  *budget* — the service budget each request
-    gets a child of.  *intern* — enable the (thread-safe) process-wide
-    value interner so structurally equal values are shared across
-    requests.  *data_dir* — root directory of the durable
+    gets a child of.  *data_dir* — root directory of the durable
     :class:`~repro.store.store.Store`; seeds in *databases* become
     snapshot-0, databases already on disk are crash-recovered (disk
     wins over a same-named seed), and UPDATE commits through the WAL.
-    *sync* / *compaction* tune the store's fsync gate and
-    :class:`~repro.store.snapshot.CompactionPolicy`.  *slow_query_ms*
-    arms the trace log's slow view.  Remaining knobs size the
-    per-database caches.
+    *sync* — fsync every WAL append.  *slow_query_ms* arms the trace
+    log's slow view.
     """
 
     def __init__(
@@ -310,15 +311,9 @@ class QueryService:
         max_queue_depth: int = 64,
         default_timeout: float | None = 30.0,
         budget: Budget | None = None,
-        obj_bound: int = 200,
-        memo_entries: int = 512,
-        plan_entries: int = 256,
-        intern: bool = True,
         data_dir: str | None = None,
         sync: bool = True,
-        compaction=None,
         slow_query_ms: float | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -327,14 +322,9 @@ class QueryService:
         self.workers = workers
         self.max_queue_depth = max_queue_depth
         self.default_timeout = default_timeout
-        self.obj_bound = obj_bound
-        self.memo_entries = memo_entries
-        self.plan_entries = plan_entries
         self._budget = budget or Budget()
-        if intern:
-            enable_interning()
 
-        self.metrics = registry if registry is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.traces = TraceLog(slow_query_ms)
         # Instruments exist from the start so STATS shows zeros, not
         # gaps (see README "Observability" for the schema table).
@@ -359,14 +349,10 @@ class QueryService:
         # Subsystems with their own thread-safe counters report through
         # pull-time collectors — one sink, no double accounting.
         self.metrics.register_collector(
-            "engine.intern", lambda: intern_stats().as_dict()
+            "engine.intern", lambda: INTERNER.stats().as_dict()
         )
 
-        self.store = (
-            Store(data_dir, sync=sync, policy=compaction)
-            if data_dir is not None
-            else None
-        )
+        self.store = Store(data_dir, sync=sync) if data_dir is not None else None
         self._sessions: dict = {}
         self._writer_locks: dict = {}
         self._registry_lock = threading.RLock()
@@ -430,9 +416,8 @@ class QueryService:
             session = Session(
                 database,
                 budget=self._budget,
-                obj_bound=self.obj_bound,
-                memo_entries=self.memo_entries,
-                plan_entries=self.plan_entries,
+                memo_entries=MEMO_ENTRIES,
+                plan_entries=PLAN_ENTRIES,
             )
             self._sessions[name] = session
             # The session's caches report through the registry: one

@@ -57,10 +57,6 @@ class FactDelta:
     def empty(self) -> bool:
         return not self.asserted and not self.retracted
 
-    def inserts_only(self) -> bool:
-        """Pure growth — the case incremental maintenance can handle."""
-        return bool(self.asserted) and not self.retracted
-
     def predicates(self) -> frozenset:
         return frozenset(self.asserted) | frozenset(self.retracted)
 

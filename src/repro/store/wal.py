@@ -20,6 +20,15 @@ missing terminator, or a CRC mismatch; :func:`read_records` stops at
 the first invalid byte and reports the length of the valid prefix, and
 recovery truncates the file there — the log never yields a partial or
 corrupt transaction, only the state at the last durable commit.
+
+**Failed appends leave nothing behind.**  If the write, flush or fsync
+of a record raises, ``append`` truncates the log back to where the
+record began and raises :class:`WalError`, so the next commit cannot
+land beside a record its caller was told had failed.  A failed fsync
+is never retried (the kernel may already have dropped the dirty pages
+it could not write), so it, or a truncation that itself fails,
+*fail-stops* the log: every later ``append`` or ``reset`` raises
+:class:`WalError` until the store is reopened and recovered.
 """
 
 from __future__ import annotations
@@ -123,7 +132,7 @@ class WriteAheadLog:
     the OS, trading the last few commits for throughput.
     """
 
-    __slots__ = ("path", "sync", "appends", "bytes_written", "_handle")
+    __slots__ = ("path", "sync", "appends", "bytes_written", "_handle", "_failure")
 
     def __init__(self, path: pathlib.Path | str, sync: bool = True):
         self.path = pathlib.Path(path)
@@ -131,6 +140,8 @@ class WriteAheadLog:
         self.appends = 0
         self.bytes_written = 0
         self._handle = None
+        #: Why the log fail-stopped, or ``None`` while it is usable.
+        self._failure: str | None = None
 
     def open(self, truncate_at: int | None = None) -> None:
         """Open for appending; *truncate_at* drops a torn tail first."""
@@ -143,16 +154,46 @@ class WriteAheadLog:
             handle.seek(truncate_at)
         self._handle = handle
 
-    def append(self, lsn: int, payload: dict) -> int:
-        """Append one record; returns its byte size.  Durable on return
-        when ``sync`` is set."""
+    def _writable(self):
         if self._handle is None:
             raise WalError(f"log {self.path} is not open")
+        if self._failure is not None:
+            raise WalError(
+                f"log {self.path} fail-stopped ({self._failure}); reopen the store"
+            )
+        return self._handle
+
+    def _fail(self, cause: Exception, truncate_at: int | None, stop: bool):
+        """Undo a failed operation and raise :class:`WalError`: cut the
+        file back to *truncate_at* and, when *stop* is set or the cut
+        fails, fail-stop the log."""
+        reason = f"{type(cause).__name__}: {cause}"
+        if truncate_at is not None:
+            try:
+                self._handle.truncate(truncate_at)
+                self._handle.seek(truncate_at)
+            except Exception:  # noqa: BLE001 — the log can no longer be trusted
+                stop = True
+        if stop:
+            self._failure = reason
+        raise WalError(f"log {self.path}: {reason}") from cause
+
+    def append(self, lsn: int, payload: dict) -> int:
+        """Append one record; returns its byte size.  Durable on return
+        when ``sync`` is set; on failure nothing is appended (see the
+        module docstring)."""
+        handle = self._writable()
         record = encode_record(lsn, payload)
-        self._handle.write(record)
-        self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
+        start = handle.tell()
+        stage = "write"
+        try:
+            handle.write(record)
+            handle.flush()
+            if self.sync:
+                stage = "fsync"
+                os.fsync(handle.fileno())
+        except Exception as exc:  # noqa: BLE001 — re-raised as WalError
+            self._fail(exc, start, stop=stage == "fsync")
         self.appends += 1
         self.bytes_written += len(record)
         return len(record)
@@ -167,14 +208,16 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Truncate to empty (compaction: the snapshot now carries
-        everything the log held)."""
-        if self._handle is None:
-            raise WalError(f"log {self.path} is not open")
-        self._handle.truncate(0)
-        self._handle.seek(0)
-        self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
+        everything the log held).  Any failure fail-stops the log."""
+        handle = self._writable()
+        try:
+            handle.truncate(0)
+            handle.seek(0)
+            handle.flush()
+            if self.sync:
+                os.fsync(handle.fileno())
+        except Exception as exc:  # noqa: BLE001 — re-raised as WalError
+            self._fail(exc, None, stop=True)
 
     def close(self) -> None:
         if self._handle is not None:

@@ -202,7 +202,7 @@ class TestCanonicalisedOnce:
         self, monkeypatch, tmp_path
     ):
         service = QueryService(
-            {"g": _graph()}, workers=1, intern=False,
+            {"g": _graph()}, workers=1,
             data_dir=str(tmp_path / "data"), sync=False,
         )
         try:

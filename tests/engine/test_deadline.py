@@ -115,7 +115,6 @@ class TestRunnerOffMainThread:
                 [RunTask("burn", _burner, budget=Budget.unlimited())],
                 timeout=0.1,
                 use_processes=False,
-                intern=False,
             )
 
         started = time.monotonic()
@@ -137,7 +136,6 @@ class TestRunnerOffMainThread:
                 [RunTask("quick", quick)],
                 timeout=30.0,
                 use_processes=False,
-                intern=False,
             )
 
         report = self._run_in_thread(invoke)
@@ -152,7 +150,6 @@ class TestRunnerOffMainThread:
             [RunTask("burn", _burner, budget=Budget.unlimited())],
             timeout=0.1,
             use_processes=False,
-            intern=False,
         )
         [task] = report.tasks
         assert task.timed_out

@@ -1,5 +1,6 @@
 """run_suite: results, sub-budgets, timeouts, fallbacks, reporting."""
 
+import itertools
 import json
 import time
 
@@ -19,6 +20,27 @@ def _tc(length, budget=None):
 
     return run_datalog_stratified(
         transitive_closure_datalog(), chain_graph(length), budget
+    )
+
+
+_FRESH = itertools.count()
+
+
+def _fresh_tc(length, budget=None):
+    """``_tc`` on a chain of atoms no earlier construction built, so the
+    value interner must miss."""
+    from repro.deductive.datalog import (
+        run_datalog_stratified,
+        transitive_closure_datalog,
+    )
+    from repro.model.schema import Database
+    from repro.model.values import SetVal, Tup
+    from repro.workloads.generators import atoms, binary_schema
+
+    nodes = atoms(length + 1, prefix=f"fresh{next(_FRESH)}-")
+    rows = SetVal(Tup([nodes[i], nodes[i + 1]]) for i in range(length))
+    return run_datalog_stratified(
+        transitive_closure_datalog(), Database(binary_schema(), {"R": rows}), budget
     )
 
 
@@ -134,11 +156,12 @@ class TestRunSuite:
 
     def test_interner_stats_in_report(self):
         report = run_suite(
-            [RunTask(f"tc{n}", _tc, (n,)) for n in (4, 5)], use_processes=False
+            [RunTask(f"tc{n}", _fresh_tc, (n,)) for n in (4, 5)], use_processes=False
         )
         assert report.interner["misses"] > 0
-        report_off = run_suite([RunTask("tc", _tc, (4,))], intern=False)
-        assert report_off.interner == {}
+        assert report.interner["hits"] == sum(
+            task.interner["hits"] for task in report.tasks
+        )
 
     def test_cache_stats_in_report(self):
         cache = MemoCache()

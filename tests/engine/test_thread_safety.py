@@ -7,15 +7,19 @@ counter accounting, capacity never overshot, one canonical instance
 per key, correct results from concurrent memoized evaluation.
 """
 
+import itertools
 import threading
 
 from repro.engine.cache import LRUCache, MemoCache
-from repro.engine.intern import Interner
+from repro.model.intern import INTERNER
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
 from repro.model.values import Atom, SetVal, Tup
 
 THREADS = 8
+
+#: Fresh label namespaces, so each test's structures are new to the table.
+_FRESH = itertools.count()
 
 
 def _hammer(worker, threads=THREADS):
@@ -30,57 +34,65 @@ def _hammer(worker, threads=THREADS):
 
 
 class TestInternerConcurrency:
-    def test_one_canonical_instance_per_key(self):
-        interner = Interner(max_entries=None)
-        winners = [set() for _ in range(THREADS)]
+    """The module interner that every value constructor consults."""
+
+    def test_one_canonical_instance_per_key(self, monkeypatch):
+        monkeypatch.setattr(INTERNER, "max_entries", None)
+        tag = f"race-{next(_FRESH)}"
+        labels = [f"{tag}-{label}" for label in "abcd"]
+        observed = [[] for _ in range(THREADS)]
+        size = len(INTERNER)
 
         def worker(index):
-            for round_number in range(500):
-                for label in ("a", "b", "c", "d"):
-                    key = ("Atom", label)
-                    cached = interner.lookup(key)
-                    if cached is None:
-                        interner.store(key, (label, index, round_number))
-                        cached = interner.lookup(key)
-                    winners[index].add(id(cached))
+            for _ in range(500):
+                observed[index].append(
+                    [Tup([Atom(label), SetVal([Atom(label)])]) for label in labels]
+                )
 
         _hammer(worker)
-        # However the races went, each key converged on ONE canonical
-        # instance, and after convergence every thread observed it.
-        assert len(interner) == 4
-        canonical = {id(value) for value in interner._table.values()}
-        for observed in winners:
-            # A thread saw the canonical instance plus at most its own
-            # transient losers (first-store races), never corruption.
-            assert canonical & observed or not observed
+        # Four labels, three structures each (atom, set, tuple).
+        assert len(INTERNER) - size == 12
+        # However the lookup-miss → build → store races went, each
+        # structure converged on ONE canonical instance: rebuilding it
+        # now returns it, and every thread's later rounds saw only it.
+        canonical = [Tup([Atom(label), SetVal([Atom(label)])]) for label in labels]
+        for rounds in observed:
+            for built in rounds[1:]:
+                assert all(a is b for a, b in zip(built, canonical))
+            # A first-round loser is equal, never corrupt.
+            assert rounds[0] == canonical
 
     def test_counters_are_exact(self):
-        interner = Interner(max_entries=None)
+        value = Tup([Atom("x"), Atom("y")])
+        before = INTERNER.stats()
 
         def worker(index):
             for _ in range(1_000):
-                interner.lookup(("Atom", "x"))
+                Tup(value.items)
 
-        interner.store(("Atom", "x"), Atom("x"))
         _hammer(worker)
-        stats = interner.stats()
-        assert stats.hits == THREADS * 1_000
-        assert stats.misses == 0
+        after = INTERNER.stats()
+        assert after.hits - before.hits == THREADS * 1_000
+        assert after.misses == before.misses
+        assert after.size == before.size
 
-    def test_capacity_is_never_overshot(self):
-        interner = Interner(max_entries=16)
+    def test_capacity_is_never_overshot(self, monkeypatch):
+        cap = len(INTERNER) + 16
+        monkeypatch.setattr(INTERNER, "max_entries", cap)
+        tag = f"cap-{next(_FRESH)}"
+        before = INTERNER.stats()
 
         def worker(index):
             for n in range(400):
-                key = ("Atom", f"{index}-{n}")
-                if interner.lookup(key) is None:
-                    interner.store(key, key)
+                Atom(f"{tag}-{index}-{n}")
 
         _hammer(worker)
-        assert len(interner) <= 16
-        stats = interner.stats()
+        after = INTERNER.stats()
+        assert len(INTERNER) <= cap
         # Everything not admitted was counted as a skip.
-        assert stats.size + stats.skips == THREADS * 400
+        assert (after.size - before.size) + (after.skips - before.skips) == (
+            THREADS * 400
+        )
 
 
 class TestLRUCacheConcurrency:

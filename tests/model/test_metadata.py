@@ -8,7 +8,7 @@ the invariants the hot paths rely on:
   with equality);
 * structural-hash collisions are allowed but never change equality
   semantics (the hash is a prefilter, equality stays structural);
-* metadata survives pickling, with and without interning;
+* metadata survives pickling, interned and past the interner's cap;
 * set members are pre-sorted once — iteration, ``repr``, and
   ``sorted_members()`` all expose the same cached order.
 """
@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro.engine import intern
 from repro.model.values import (
     BOTTOM,
     TOP,
@@ -32,6 +31,8 @@ from repro.model.values import (
     set_height,
     value_size,
 )
+
+from tests.conftest import interner_full
 
 
 def random_value(rng: random.Random, max_depth: int = 4) -> Value:
@@ -182,8 +183,8 @@ class TestPickleRoundTrips:
 
     @pytest.mark.parametrize("value", CASES, ids=lambda v: type(v).__name__)
     def test_without_interning(self, value):
-        intern.disable_interning()
-        rebuilt = pickle.loads(pickle.dumps(value))
+        with interner_full():
+            rebuilt = pickle.loads(pickle.dumps(value))
         assert rebuilt == value
         assert rebuilt.canon_key() == value.canon_key()
         assert rebuilt.struct_hash == value.struct_hash
@@ -194,23 +195,21 @@ class TestPickleRoundTrips:
 
     @pytest.mark.parametrize("value", CASES, ids=lambda v: type(v).__name__)
     def test_with_interning(self, value):
-        with intern.interned():
-            rebuilt = pickle.loads(pickle.dumps(value))
-            assert rebuilt == value
-            assert rebuilt.canon_key() == value.canon_key()
-            assert rebuilt.struct_hash == value.struct_hash
-            assert rebuilt.depth == value.depth
-            assert rebuilt.size == value.size
-            assert rebuilt.atoms == value.atoms
-            assert rebuilt.has_top == value.has_top
+        rebuilt = pickle.loads(pickle.dumps(value))
+        assert rebuilt == value
+        assert rebuilt.canon_key() == value.canon_key()
+        assert rebuilt.struct_hash == value.struct_hash
+        assert rebuilt.depth == value.depth
+        assert rebuilt.size == value.size
+        assert rebuilt.atoms == value.atoms
+        assert rebuilt.has_top == value.has_top
 
     def test_interned_roundtrip_is_identity(self):
-        with intern.interned():
-            value = SetVal([Tup([Atom("a"), Atom("b")]), Atom("c")])
-            rebuilt = pickle.loads(pickle.dumps(value))
-            # Unpickling rebuilds via __new__, so the interner returns
-            # the already-constructed instance.
-            assert rebuilt is value
+        value = SetVal([Tup([Atom("a"), Atom("b")]), Atom("c")])
+        rebuilt = pickle.loads(pickle.dumps(value))
+        # Unpickling rebuilds via __new__, so the interner returns
+        # the already-constructed instance.
+        assert rebuilt is value
 
 
 class TestCachedSortedMembers:

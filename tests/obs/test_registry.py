@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.obs import MetricsRegistry, get_registry, reset_registry, set_registry
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import flatten, nest
 
 REPO_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -97,20 +97,6 @@ class TestSnapshot:
         json.dumps(snap)
 
 
-class TestProcessWideRegistry:
-    def test_get_creates_once(self):
-        fresh = reset_registry()
-        assert get_registry() is fresh
-
-    def test_set_installs(self):
-        mine = MetricsRegistry()
-        try:
-            assert set_registry(mine) is mine
-            assert get_registry() is mine
-        finally:
-            reset_registry()
-
-
 class TestPackageSurface:
     def test_serve_package_does_not_warn(self):
         # A subprocess keeps this hermetic: reloading ``repro.serve``
@@ -141,7 +127,6 @@ class TestPackageSurface:
             "Catalog",
             "MetricsRegistry",
             "enable_tracing",
-            "get_registry",
             "render_prometheus",
         ):
             assert hasattr(repro, name), name

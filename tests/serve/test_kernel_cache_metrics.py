@@ -26,7 +26,7 @@ def _kernel_counters(service) -> dict:
 
 class TestKernelCacheCounters:
     def test_registered_from_the_start(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             counters = _kernel_counters(service)
             assert counters == {
@@ -38,7 +38,7 @@ class TestKernelCacheCounters:
             service.close()
 
     def test_rules_query_reports_cache_traffic(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             outcome = service.query("main", RULES_TC)
             assert outcome.status == "ok"
@@ -57,7 +57,7 @@ class TestKernelCacheCounters:
             service.close()
 
     def test_memo_hit_adds_no_kernel_traffic(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             assert service.query("main", RULES_TC).status == "ok"
             before = _kernel_counters(service)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs import tracing
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import MetricsRegistry, nest
+from repro.obs.metrics import nest
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeServer
 from repro.serve.service import QueryService
@@ -39,7 +39,7 @@ class TestUnifiedStats:
     def test_one_metric_schema_on_a_durable_service(self, tmp_path):
         data_dir = str(tmp_path / "data")
         service = QueryService(
-            serve_databases(), workers=1, intern=False, data_dir=data_dir, sync=False
+            serve_databases(), workers=1, data_dir=data_dir, sync=False
         )
         try:
             service.query("main", "{ x | S(x) }").raise_for_status()
@@ -52,7 +52,7 @@ class TestUnifiedStats:
         finally:
             service.close()
 
-        restarted = QueryService(workers=1, intern=False, data_dir=data_dir, sync=False)
+        restarted = QueryService(workers=1, data_dir=data_dir, sync=False)
         try:
             restarted.query("main", "{ x | S(x) }").raise_for_status()
             metrics = _assert_one_metric_schema(restarted)
@@ -61,7 +61,7 @@ class TestUnifiedStats:
             restarted.close()
 
     def test_database_section_carries_shape_and_catalog(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             service.query("main", "{ x | S(x) }")
             stats = service.stats()
@@ -75,7 +75,7 @@ class TestUnifiedStats:
             service.close()
 
     def test_engine_op_totals_aggregate(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             service.query("main", "{ x | S(x) }")
             metrics = service.stats()["metrics"]
@@ -83,22 +83,10 @@ class TestUnifiedStats:
         finally:
             service.close()
 
-    def test_injected_registry_is_used(self):
-        registry = MetricsRegistry()
-        service = QueryService(
-            serve_databases(), workers=1, intern=False, registry=registry
-        )
-        try:
-            assert service.metrics is registry
-            service.query("main", "{ x | S(x) }")
-            assert registry.counter("serve.queries.completed").value == 1
-        finally:
-            service.close()
-
 
 class TestDrainInvariant:
     def test_holds_after_graceful_close(self):
-        service = QueryService(serve_databases(), workers=2, intern=False)
+        service = QueryService(serve_databases(), workers=2)
         service.query("main", "{ x | S(x) }")
         service.query("main", "nonsense ((")
         service.close()  # raises AssertionError on a dropped outcome
@@ -124,7 +112,7 @@ class TestDrainInvariant:
         assert metrics["serve.queries.accepted"] == settled
 
     def test_verify_drained_reports_a_dropped_outcome(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             service.query("main", "{ x | S(x) }")
             service.metrics.counter("serve.queries.accepted").inc()  # orphan
@@ -138,7 +126,7 @@ class TestDrainInvariant:
 class TestSlowQueries:
     def test_threshold_zero_captures_every_query(self):
         service = QueryService(
-            serve_databases(), workers=1, intern=False, slow_query_ms=0.0
+            serve_databases(), workers=1, slow_query_ms=0.0
         )
         try:
             service.query("main", "{ x | S(x) }")
@@ -155,7 +143,7 @@ class TestSlowQueries:
 
     def test_slow_entry_is_the_trace_entry(self):
         service = QueryService(
-            serve_databases(), workers=1, intern=False, slow_query_ms=0.0
+            serve_databases(), workers=1, slow_query_ms=0.0
         )
         try:
             outcome = service.query("main", "{ x | S(x) }")
@@ -170,7 +158,7 @@ class TestSlowQueries:
 
     def test_updates_pass_the_slow_filter(self):
         service = QueryService(
-            serve_databases(), workers=1, intern=False, slow_query_ms=0.0
+            serve_databases(), workers=1, slow_query_ms=0.0
         )
         try:
             service.update("main", asserts={"S": ["z"]}).raise_for_status()
@@ -183,7 +171,7 @@ class TestSlowQueries:
             service.close()
 
     def test_disabled_by_default(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             service.query("main", "{ x | S(x) }")
             stats = service.stats()
@@ -196,7 +184,7 @@ class TestSlowQueries:
 
 class TestRequestSpans:
     def test_request_span_tree(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             with tracing() as recorder:
                 service.query("main", "{ x | S(x) }")
@@ -221,7 +209,7 @@ class TestRequestSpans:
             service.close()
 
     def test_commit_span_on_updates(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             with tracing() as recorder:
                 outcome = service.update("main", asserts={"S": ["z"]})
@@ -238,7 +226,7 @@ class TestRequestSpans:
     def test_no_recorder_means_no_spans_recorded(self):
         from repro.obs import get_recorder
 
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             assert get_recorder() is None
             service.query("main", "{ x | S(x) }")
@@ -249,7 +237,7 @@ class TestRequestSpans:
 
 class TestMetricsWireOp:
     def test_metrics_text_over_the_wire(self):
-        service = QueryService(serve_databases(), workers=2, intern=False)
+        service = QueryService(serve_databases(), workers=2)
         server = ServeServer(service, port=0)
         server.start()
         try:
@@ -264,7 +252,7 @@ class TestMetricsWireOp:
             server.stop()
 
     def test_explain_over_wire_renders_unified_counter_block(self):
-        service = QueryService(serve_databases(), workers=2, intern=False)
+        service = QueryService(serve_databases(), workers=2)
         server = ServeServer(service, port=0)
         server.start()
         try:

@@ -13,7 +13,7 @@ from repro.workloads import serve_databases
 
 @pytest.fixture()
 def server():
-    service = QueryService(serve_databases(), workers=2, intern=False)
+    service = QueryService(serve_databases(), workers=2)
     serve_server = ServeServer(service, port=0)
     serve_server.start()
     yield serve_server

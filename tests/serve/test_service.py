@@ -57,7 +57,6 @@ def _blocked_service(workers=1, max_queue_depth=4, **kwargs):
         serve_databases(),
         workers=workers,
         max_queue_depth=max_queue_depth,
-        intern=False,
         **kwargs,
     )
     blocker = _BlockingSession()
@@ -67,7 +66,7 @@ def _blocked_service(workers=1, max_queue_depth=4, **kwargs):
 
 class TestBasics:
     def test_query_matches_direct_session(self):
-        service = QueryService(serve_databases(), workers=2, intern=False)
+        service = QueryService(serve_databases(), workers=2)
         try:
             for db_key, text in SERVE_QUERY_BANK:
                 outcome = service.query(db_key, text)
@@ -78,7 +77,7 @@ class TestBasics:
             service.close()
 
     def test_unknown_database_is_typed_and_immediate(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             with pytest.raises(UnknownDatabase):
                 service.submit("nope", "{ 1 }")
@@ -86,7 +85,7 @@ class TestBasics:
             service.close()
 
     def test_evaluator_failure_surfaces_as_query_failed(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             outcome = service.query("main", "{ x | Zzz(x) }")
             assert outcome.status == "error"
@@ -96,7 +95,7 @@ class TestBasics:
             service.close()
 
     def test_load_and_replace(self):
-        service = QueryService(workers=1, intern=False)
+        service = QueryService(workers=1)
         try:
             database = serve_databases()["atoms"]
             service.load("d", database)
@@ -114,7 +113,7 @@ class TestBasics:
         # a starved real query comes back ok/UNDEFINED ...
         service = QueryService(
             serve_databases(), workers=1, budget=Budget(steps=2),
-            default_timeout=None, intern=False,
+            default_timeout=None,
         )
         try:
             outcome = service.query(
@@ -132,7 +131,7 @@ class TestBasics:
         # service as ok/UNDEFINED with the resource recorded.
         from repro.errors import BudgetExceeded
 
-        service = QueryService(workers=1, default_timeout=None, intern=False)
+        service = QueryService(workers=1, default_timeout=None)
 
         class _Starved:
             def run(self, text, backend=None, budget=None, database=None):
@@ -258,7 +257,6 @@ class TestDeadlines:
             serve_databases(),
             workers=1,
             budget=Budget.unlimited(),
-            intern=False,
         )
         service._sessions["burn"] = _BurningSession()
         try:
@@ -276,7 +274,7 @@ class TestDeadlines:
         # The budget the service hands a request must propagate its
         # deadline through child() splits (Session.run makes one).
         service = QueryService(
-            serve_databases(), workers=1, budget=Budget.unlimited(), intern=False
+            serve_databases(), workers=1, budget=Budget.unlimited()
         )
 
         class _ChildBurner:
@@ -369,7 +367,6 @@ class TestClosedLoopConcurrency:
             workers=4,
             max_queue_depth=256,
             default_timeout=None,
-            intern=False,
         )
         try:
             outcomes: list = []
@@ -405,7 +402,7 @@ class TestClosedLoopConcurrency:
 
 class TestStats:
     def test_stats_shape(self):
-        service = QueryService(serve_databases(), workers=1, intern=False)
+        service = QueryService(serve_databases(), workers=1)
         try:
             service.query("main", "{ x | S(x) }")
             service.query("main", "{ x | S(x) }")
@@ -415,6 +412,11 @@ class TestStats:
             assert stats["metrics"]["serve.queries.completed"] == 2
             assert stats["metrics"]["db.main.memo.hits"] >= 1
             assert stats["metrics"]["db.main.plans.hits"] >= 1
+            assert {key for key in stats["metrics"] if key.startswith("engine.intern.")} == {
+                f"engine.intern.{name}"
+                for name in ("hits", "misses", "skips", "size", "hit_rate")
+            }
+            assert stats["metrics"]["engine.intern.hits"] > 0
             traces = stats["traces"]
             assert len(traces) == 2
             assert traces[-1]["cached"] is True

@@ -21,7 +21,6 @@ def durable_service(tmp_path):
     service = QueryService(
         {"main": graph_db([("a", "b"), ("b", "c")])},
         workers=2,
-        intern=False,
         data_dir=str(tmp_path / "data"),
         sync=False,
     )
@@ -41,7 +40,7 @@ def client(durable_service):
 class TestEmbeddedUpdate:
     def test_in_memory_update_without_store(self):
         service = QueryService(
-            {"main": graph_db([("a", "b")])}, workers=1, intern=False
+            {"main": graph_db([("a", "b")])}, workers=1
         )
         try:
             outcome = service.update("main", asserts={"E": [["b", "c"]]})
@@ -55,7 +54,7 @@ class TestEmbeddedUpdate:
 
     def test_snapshot_without_store_is_typed(self):
         service = QueryService(
-            {"main": graph_db([("a", "b")])}, workers=1, intern=False
+            {"main": graph_db([("a", "b")])}, workers=1
         )
         try:
             with pytest.raises(StoreUnavailable):
@@ -169,14 +168,14 @@ class TestStateDigest:
         data_dir = str(tmp_path / "data")
         service = QueryService(
             {"main": graph_db([("a", "b")])},
-            workers=1, intern=False, data_dir=data_dir, sync=False,
+            workers=1, data_dir=data_dir, sync=False,
         )
         service.stats()  # memoize the pre-update digest
         service.update("main", asserts={"E": [["b", "c"]]}).raise_for_status()
         sha = service.stats()["databases"]["main"]["store"]["state_sha256"]
         service.close()
         recovered = QueryService(
-            workers=1, intern=False, data_dir=data_dir, sync=False
+            workers=1, data_dir=data_dir, sync=False
         )
         try:
             assert (
@@ -192,7 +191,7 @@ class TestDurableLifecycle:
         data_dir = str(tmp_path / "data")
         service = QueryService(
             {"main": graph_db([("a", "b")])},
-            workers=1, intern=False, data_dir=data_dir, sync=False,
+            workers=1, data_dir=data_dir, sync=False,
         )
         service.update("main", asserts={"E": [["b", "c"]]}).raise_for_status()
         sha = service.stats()["databases"]["main"]["store"]["state_sha256"]
@@ -200,7 +199,7 @@ class TestDurableLifecycle:
         service.close()
 
         recovered = QueryService(
-            workers=1, intern=False, data_dir=data_dir, sync=False
+            workers=1, data_dir=data_dir, sync=False
         )
         try:
             stats = recovered.stats()
@@ -215,7 +214,7 @@ class TestDurableLifecycle:
         data_dir = str(tmp_path / "data")
         service = QueryService(
             {"main": graph_db([("a", "b")])},
-            workers=1, intern=False, data_dir=data_dir, sync=False,
+            workers=1, data_dir=data_dir, sync=False,
         )
         service.update("main", asserts={"E": [["b", "c"]]}).raise_for_status()
         sha = service.stats()["databases"]["main"]["store"]["state_sha256"]
@@ -223,7 +222,7 @@ class TestDurableLifecycle:
 
         reseeded = QueryService(
             {"main": graph_db([("z", "z")])},  # ignored: disk wins
-            workers=1, intern=False, data_dir=data_dir, sync=False,
+            workers=1, data_dir=data_dir, sync=False,
         )
         try:
             assert (
