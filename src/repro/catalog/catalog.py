@@ -4,9 +4,9 @@ canonical forms and restrict views, and incremental migration.
 One :class:`Catalog` exists per live :class:`~repro.model.schema.
 Database` object, found via :meth:`Catalog.for_database`.  The registry
 is keyed by ``id()`` with a weak reference guarding against id reuse —
-databases are immutable values whose ``__hash__`` walks every instance,
-so identity keying is both correct (a database's statistics never
-change) and far cheaper than value keying.  Entries evict themselves
+databases are immutable values whose first ``__hash__`` walks every
+instance, so identity keying is both correct (a database's statistics
+never change) and cheaper than value keying.  Entries evict themselves
 when their database is collected.
 
 Four jobs:
@@ -25,13 +25,14 @@ Four jobs:
   C-genericity (:func:`~repro.engine.canon.canonicalise_database`)
   per constant set, with its renaming and inverse, in a bounded LRU
   (:data:`~repro.catalog.policy.CATALOG_MEMO_ENTRIES`).  The memo
-  cache keys on it, so a warm hit never re-runs colour refinement.
+  cache matches permuted isomorphs by it, so no database runs colour
+  refinement twice for one constant set.
 * :meth:`restrict` memoizes ``Database.restrict`` per predicate set,
   so a footprint-restricted memo key has a stable identity — and with
   it its own catalog and canonical forms.  :meth:`migrate` carries
   every view whose predicates the delta leaves untouched to the new
-  catalog, so a rule-block query over ``R`` stays a memo hit across a
-  commit to ``E`` without re-canonicalising.
+  catalog, so a rule-block query over ``R`` stays an exact memo hit
+  across a commit to ``E``.
 
 Everything a catalog serves is a function of its database alone —
 nothing an execution observes is written back — so a plan priced from

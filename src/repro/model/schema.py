@@ -108,8 +108,10 @@ class Database:
 
     #: ``__weakref__`` lets the per-database statistics catalog
     #: (:mod:`repro.catalog`) key its registry on database identity and
-    #: evict entries when the database is collected.
-    __slots__ = ("schema", "_instances", "__weakref__")
+    #: evict entries when the database is collected.  ``_hash`` caches
+    #: :meth:`__hash__`: the database is immutable, and the result memo
+    #: hashes its key database on every lookup.
+    __slots__ = ("schema", "_instances", "_hash", "__weakref__")
 
     def __init__(self, schema: Schema, instances: Mapping[str, object]):
         if not isinstance(schema, Schema):
@@ -124,6 +126,7 @@ class Database:
             raise SchemaError(f"instances for unknown predicates: {sorted(extra)}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_instances", resolved)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Database is immutable")
@@ -138,6 +141,8 @@ class Database:
         return iter(self.schema.names())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Database)
             and self.schema == other.schema
@@ -145,7 +150,11 @@ class Database:
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, tuple(sorted(self._instances.items()))))
+        value = self._hash
+        if value is None:
+            value = hash((self.schema, tuple(sorted(self._instances.items()))))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __reduce__(self):
         return (Database, (self.schema, self._instances))

@@ -46,7 +46,7 @@ def render_plan(plan: Plan) -> str:
     lines.append(
         "  cache: "
         + (
-            "generic (memoized under canonical-database key)"
+            "generic (memoized exactly; permuted isomorphs share entries)"
             if plan.generic
             else "non-generic (invention-capable; bypasses the memo cache)"
         )

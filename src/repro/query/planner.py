@@ -43,6 +43,7 @@ BACKEND_RANK = (
     "literal",
     "algebra",
     "col-stratified",
+    "col-demand",
     "col-inflationary",
     "bk-hashjoin",
     "calculus",
@@ -62,12 +63,17 @@ BACKEND_RANK = (
 #: and the BK drivers likewise join over tail extents alone.  For these
 #: the session may key the result memo on the database *restricted* to
 #: the query's predicate footprint — entries then survive committed
-#: deltas that touch other predicates.  The whole-database routes
-#: (calculus domain enumeration, machine encodings, compiled lowerings)
-#: depend on the global active domain and are deliberately excluded.
+#: deltas that touch other predicates.  ``col-demand`` runs a rewrite
+#: of the block that reads the same base predicates.  The
+#: whole-database routes (calculus domain enumeration, machine
+#: encodings, compiled lowerings) depend on the global active domain
+#: and are deliberately excluded; an ``algebra`` candidate is fact
+#: driven only when its program reads the database through the
+#: footprint's predicate variables alone (see :attr:`Candidate.fact_driven`).
 FACT_DRIVEN = frozenset(
     {
         "col-stratified",
+        "col-demand",
         "col-inflationary",
         "col-naive",
         "bk-hashjoin",
@@ -101,13 +107,25 @@ class Rewrite:
 
 
 class Candidate:
-    """An executable backend for one query, with its estimated cost."""
+    """An executable backend for one query, with its estimated cost.
 
-    def __init__(self, backend: str, cost: int, detail: str, runner):
+    :attr:`fact_driven` says whether the candidate reads only the
+    instances of the query's own predicates (so the session may key
+    its memo entry on the database restricted to them): every
+    :data:`FACT_DRIVEN` backend does, others only when the caller
+    shows it.
+    """
+
+    def __init__(
+        self, backend: str, cost: int, detail: str, runner, fact_driven=None
+    ):
         self.backend = backend
         self.cost = _cap(cost)
         self.detail = detail
         self._runner = runner
+        self.fact_driven = (
+            backend in FACT_DRIVEN if fact_driven is None else fact_driven
+        )
 
     def run(self, database: Database, budget: Budget, trace=None):
         return self._runner(database, budget, trace)
@@ -145,13 +163,20 @@ class Plan:
         return tuple(c.backend for c in self.candidates)
 
     def candidate(self, backend: str) -> Candidate:
-        for cand in self.candidates:
-            if cand.backend == backend:
-                return cand
+        cand = self.find(backend)
+        if cand is not None:
+            return cand
         raise SchemaError(
             f"plan for {self.query.text!r} has no backend {backend!r} "
             f"(has {', '.join(self.backends())})"
         )
+
+    def find(self, backend: str) -> Candidate | None:
+        """The candidate running *backend*, or ``None``."""
+        for cand in self.candidates:
+            if cand.backend == backend:
+                return cand
+        return None
 
     def fingerprint_payload(self) -> str:
         """Key material for the genericity-aware memo cache.
@@ -325,20 +350,79 @@ def algebra_cost(program, profile: dict) -> int:
     return max(block_cost(list(program.statements), env), 1)
 
 
-def col_cost(program, profile: dict, recursive: bool) -> int:
-    """rounds × Σ_rules (order-aware join product of positive tails)."""
-    from ..deductive.ast import PredLit
+def col_cost(program, profile: dict, recursive: bool, sizes=None) -> int:
+    """rounds × Σ_rules (order-aware join product of positive tails).
 
+    *sizes* overrides the size estimate of derived predicates (the
+    demand rewrite's magic and adorned predicates); any other name is
+    priced as :func:`_instance_size` does."""
     rounds = profile["total_facts"] + 2 if recursive else 2
     per_round = 0
     for rule in program.rules:
-        sizes = [
-            _instance_size(profile, lit.name)
+        per_round = _cap(per_round + _rule_join(rule, profile, sizes or {}))
+    return _cap(max(per_round, 1) * rounds)
+
+
+def _rule_join(rule, profile: dict, sizes: dict) -> int:
+    """The join product of *rule*'s positive predicate literals."""
+    from ..deductive.ast import PredLit
+
+    return join_product(
+        [
+            sizes[lit.name] if lit.name in sizes else _instance_size(profile, lit.name)
             for lit in rule.body
             if isinstance(lit, PredLit) and lit.positive
         ]
-        per_round = _cap(per_round + join_product(sizes))
-    return _cap(max(per_round, 1) * rounds)
+    )
+
+
+def demand_cost(rewrite, profile: dict) -> int:
+    """:func:`col_cost` of a demand rewrite (a
+    :class:`~repro.deductive.magic.DemandRewrite`).
+
+    Each magic predicate is priced at its *seed size*: the join product
+    of its rules that read no magic predicate (one demanded tuple for a
+    seed of constants), plus the seeds of the magic predicates it copies
+    from.  Each adorned predicate holds the facts of its demanded
+    bindings: the seed size times the share of the facts one binding
+    selects (total facts over adom per bound argument), at most all of
+    them.  A seed as large as the domain so prices the rewrite above
+    the original, and the planner declines it.
+    """
+    from ..deductive.ast import PredLit
+
+    magic_rules: dict = {name: [] for name in rewrite.magic}
+    for rule in rewrite.program.rules:
+        if rule.head.name in magic_rules:
+            magic_rules[rule.head.name].append(rule)
+    seeds: dict = {}
+
+    def seed(name: str, visiting: frozenset) -> int:
+        if name in seeds:
+            return seeds[name]
+        total = 0
+        for rule in magic_rules[name]:
+            guards = [
+                lit.name
+                for lit in rule.body
+                if isinstance(lit, PredLit) and lit.name in magic_rules
+            ]
+            if not guards:
+                total += _rule_join(rule, profile, {})
+            for guard in guards:
+                if guard not in visiting:
+                    total += seed(guard, visiting | {name})
+        seeds[name] = result = _cap(max(total, 1))
+        return result
+
+    sizes = {name: seed(name, frozenset()) for name in magic_rules}
+    facts = profile["total_facts"]
+    adom = max(profile["adom"], 1)
+    for guard, name in rewrite.magic.items():
+        bound = rewrite.adorned[name][1].count("b")
+        share = max(facts // adom**bound, 1)
+        sizes[name] = min(facts, _cap(sizes[guard] * share))
+    return col_cost(rewrite.program, profile, recursive=True, sizes=sizes)
 
 
 def bk_cost(program, profile: dict) -> int:
@@ -370,6 +454,33 @@ def gtm_base_cost(profile: dict) -> int:
 # ---------------------------------------------------------------------------
 # Candidate construction
 # ---------------------------------------------------------------------------
+
+
+def algebra_reads_only(program, predicates) -> bool:
+    """Whether an algebra *program* reads the database only through
+    variables named after *predicates*.
+
+    A program can read a variable it never assigned only if it is one
+    of its ``input_names`` (validation rejects any other), so those
+    bound its reads — unless it uses ``EncodeInput``, which lists the
+    whole database.
+    """
+    from ..algebra.ast import Assign, EncodeInput, While
+
+    if not frozenset(program.input_names) <= frozenset(predicates):
+        return False
+    stack = list(program.statements)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assign):
+            stack.append(node.expr)
+        elif isinstance(node, While):
+            stack.extend(node.body)
+        elif isinstance(node, EncodeInput):
+            return False
+        else:
+            stack.extend(node.children())
+    return True
 
 
 def _comprehension_candidates(query: Comprehension, database: Database, profile, obj_bound):
@@ -423,6 +534,7 @@ def _comprehension_candidates(query: Comprehension, database: Database, profile,
                 lambda db, budget, trace=None, _p=program: run_program(
                     _p, db, budget=budget, trace=trace
                 ),
+                fact_driven=algebra_reads_only(program, query.predicates()),
             )
         )
 
@@ -490,6 +602,7 @@ def _pipeline_candidates(query: PipelineQuery, database: Database, profile):
             lambda db, budget, trace=None, _p=program: run_program(
                 _p, db, budget=budget, trace=trace
             ),
+            fact_driven=algebra_reads_only(program, query.predicates()),
         )
     ]
     return candidates, rewrites
@@ -497,6 +610,7 @@ def _pipeline_candidates(query: PipelineQuery, database: Database, profile):
 
 def _rule_candidates(query: RuleQuery, database: Database, profile):
     from ..deductive.inflationary import run_inflationary
+    from ..deductive.magic import NotDemandable, demand_rewrite
     from ..deductive.stratify import run_stratified
 
     for name in query.predicates():
@@ -545,6 +659,22 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
                 cost + 1,
                 "semi-naive inflationary fixpoint",
                 lambda db, budget, trace=None, _p=program: run_inflationary(
+                    _p, db, budget, trace=trace
+                ),
+            )
+        )
+    try:
+        demand = demand_rewrite(program, database.schema.names())
+    except NotDemandable as exc:
+        rewrites.append(Rewrite("demand", False, str(exc)))
+    else:
+        rewrites.append(Rewrite("demand", True, demand.describe()))
+        candidates.append(
+            Candidate(
+                "col-demand",
+                demand_cost(demand, profile),
+                "magic-set rewrite, semi-naive stratified fixpoint",
+                lambda db, budget, trace=None, _p=demand.program: run_stratified(
                     _p, db, budget, trace=trace
                 ),
             )

@@ -7,11 +7,14 @@ two caches:
   plan depends on the database's instance statistics, so the database
   itself is part of the key);
 * the genericity-aware :class:`~repro.engine.cache.MemoCache` for
-  *results*, keyed by plan fingerprint and the canonical (isomorphism-
-  invariant) form of the database — permuting atom names still hits.
-  Plans marked non-generic (invention-capable comprehensions) bypass
-  it, per Section 6: their output may depend on the fresh objects the
-  evaluator invents, which no canonical key can capture.
+  *results*, keyed by plan fingerprint, backend, constants and the
+  database (or its restriction to the query's footprint).  The same
+  data hits exactly, with no canonical form; a database whose atoms are
+  permuted hits through canonical forms, computed only once the query
+  already has an entry to match.  Plans marked non-generic
+  (invention-capable comprehensions) bypass it, per Section 6: their
+  output may depend on the fresh objects the evaluator invents, which
+  no key can capture.
 
 Each query runs under a *child* of the session budget, so one runaway
 query cannot silently drain the session's allowance for the rest.
@@ -29,14 +32,16 @@ from ..obs.span import span
 from .explain import render, render_plan
 from .ir import BKQuery, RuleQuery
 from .parser import parse
-from .planner import FACT_DRIVEN, ExecutionReport, Plan, build_plan, execute_plan
+from .planner import ExecutionReport, Plan, build_plan, execute_plan
 
 #: Backend groups a materialized view answers for.  A delta-safe COL
 #: program is one monotone stratum, so its stratified, inflationary,
 #: and naive fixpoints coincide; BK's two drivers agree by
 #: construction.  The compiled/whole-database routes re-encode the full
 #: database and are served normally.
-_COL_VIEW_BACKENDS = frozenset({"col-stratified", "col-inflationary", "col-naive"})
+_COL_VIEW_BACKENDS = frozenset(
+    {"col-stratified", "col-demand", "col-inflationary", "col-naive"}
+)
 _BK_VIEW_BACKENDS = frozenset({"bk-hashjoin", "bk-naive"})
 
 
@@ -139,7 +144,7 @@ class Session:
                 captured.append(report)
                 return report.result
 
-            # Fact-driven backends provably read only the query's own
+            # Fact-driven candidates provably read only the query's own
             # predicates, so the memo key uses the database *restricted*
             # to them — the entry then survives deltas to other
             # predicates, and a delta to its own predicates changes the
@@ -147,10 +152,11 @@ class Session:
             # schema predicate sharing a head's name seeds the fixpoint
             # like any base fact.  The catalog hands back the same
             # restricted object every time (and carries it across
-            # commits the footprint misses), so its canonical form is
-            # computed once.
+            # commits the footprint misses), so an exact hit compares
+            # it by identity.
             key_database = None
-            if plan.generic and chosen in FACT_DRIVEN:
+            candidate = plan.find(chosen)
+            if plan.generic and candidate is not None and candidate.fact_driven:
                 preds = _program_predicates(plan.query, database.schema)
                 if preds:
                     key_database = Catalog.for_database(database).restrict(preds)
@@ -181,10 +187,10 @@ class Session:
     ):
         """Evaluate *text* and return its value (or ``?``).
 
-        The result is memoized under the canonical-database key when
-        the plan is generic; *backend* forces a specific candidate and
-        keys separately (all candidates agree semantically, but their
-        budget behaviour near exhaustion differs)."""
+        The result is memoized when the plan is generic; *backend*
+        forces a specific candidate and keys separately (all candidates
+        agree semantically, but their budget behaviour near exhaustion
+        differs)."""
         result, report = self.run(
             text, backend=backend, budget=budget, database=database
         )

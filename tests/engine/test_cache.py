@@ -176,3 +176,102 @@ class TestLRUCache:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
+
+
+class TestExactFirst:
+    """Exact keys first; canonical forms only where an isomorph can hit."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from repro.engine import cache as cache_module
+
+        calls: list = []
+        real = cache_module._canonical_form
+
+        def counting(database, constants):
+            calls.append(database)
+            return real(database, constants)
+
+        monkeypatch.setattr(cache_module, "_canonical_form", counting)
+        return calls
+
+    def test_exact_hit_returns_the_stored_answer_uncanonicalised(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        cache = MemoCache()
+        database = chain_graph(6)
+        first = cache.run(_run_tc, transitive_closure_datalog(), database)
+        second = cache.run(_run_tc, transitive_closure_datalog(), database)
+        assert second is first
+        assert cache.stats.hits == 1
+        assert calls == []
+
+    def test_first_sight_of_a_family_canonicalises_nothing(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        cache = MemoCache()
+        for n in (3, 4, 5):
+            cache.run(_run_tc, transitive_closure_datalog(), chain_graph(n), extra_key=n)
+        assert cache.stats.misses == 3
+        assert calls == []
+
+    def test_each_stored_entry_canonicalises_at_most_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        cache = MemoCache()
+        program = transitive_closure_datalog()
+        stored = [chain_graph(n) for n in range(2, 7)]
+        for database in stored:
+            cache.run(_run_tc, program, database)
+        probes = [_permute(database, 1) for database in stored]
+        probes += [chain_graph(n) for n in range(7, 10)]
+        for database in probes:
+            assert cache.run(_run_tc, program, database) == _run_tc(database)
+        # Permuted chains hit their stored isomorph; longer chains miss.
+        assert cache.stats.hits == len(stored)
+        for database in stored + probes:
+            assert sum(1 for seen in calls if seen is database) <= 1
+        # Later probes find every stored form already known.
+        assert len(calls) <= len(stored) + len(probes)
+
+    def test_isomorphic_hit_is_stored_under_the_exact_key(self, monkeypatch):
+        cache = MemoCache()
+        program = transitive_closure_datalog()
+        database = chain_graph(6)
+        permuted = _permute(database, 2)
+        cache.run(_run_tc, program, database)
+        cache.run(_run_tc, program, permuted)
+        assert cache.stats.hits == 1 and len(cache) == 2
+        calls = self._count(monkeypatch)
+        assert cache.run(_run_tc, program, permuted) == _run_tc(permuted)
+        assert cache.stats.hits == 2
+        assert calls == []
+
+    def test_undefined_answers_are_memoised_under_the_exact_key(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        cache = MemoCache()
+        database = chain_graph(5)
+        evaluations = []
+
+        def diverging(db):
+            evaluations.append(db)
+            return UNDEFINED
+
+        for _ in range(3):
+            assert cache.run(diverging, "diverges", database) is UNDEFINED
+        assert len(evaluations) == 1
+        assert cache.stats.hits == 2
+        assert calls == []
+
+    def test_eviction_keeps_the_family_index_in_step(self):
+        cache = MemoCache(max_entries=3)
+        program = transitive_closure_datalog()
+        for n in range(2, 9):
+            cache.run(_run_tc, program, chain_graph(n), extra_key=n % 2)
+        assert len(cache) == 3
+        named = [
+            (family, database)
+            for family, members in cache._families.items()
+            for database in members
+        ]
+        assert len(named) == len(cache)
+        assert set(named) == set(cache._entries)
+        cache.clear()
+        assert cache._families == {}

@@ -219,3 +219,59 @@ class TestMemoCacheConcurrency:
 
         _hammer(worker)
         assert len(memo) <= 4
+
+    def test_family_index_tracks_eviction_under_threads(self):
+        """Concurrent exact hits, isomorphic hits and evicting misses:
+        the family index never names an evicted entry, and its sizes
+        always sum to the number of entries."""
+        memo = MemoCache(max_entries=5)
+        programs = ["P0", "P1"]
+        # Chains of six lengths, each also under a second atom naming:
+        # the renamed copy is an isomorph, so probes take the canonical
+        # path as well as the exact one.
+        databases = []
+        for length in range(2, 8):
+            for prefix in ("n", "m"):
+                rows = [(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(length)]
+                databases.append(_database(rows))
+        violations = []
+        stop = threading.Event()
+
+        def check():
+            with memo._lock:
+                named = {
+                    (family, database)
+                    for family, members in memo._families.items()
+                    for database in members
+                }
+                sizes = sum(len(members) for members in memo._families.values())
+                if named != set(memo._entries) or sizes != len(memo._entries):
+                    violations.append((len(named), sizes, len(memo._entries)))
+
+        def checker():
+            while not stop.is_set():
+                check()
+
+        watcher = threading.Thread(target=checker)
+        watcher.start()
+        failures = []
+
+        def worker(index):
+            for n in range(150):
+                database = databases[(index * 7 + n) % len(databases)]
+                program = programs[(index + n) % 2]
+                result = memo.run(_project_first, program, database)
+                if result != _project_first(database):
+                    failures.append((index, n))
+
+        try:
+            _hammer(worker)
+        finally:
+            stop.set()
+            watcher.join(timeout=60)
+        check()
+        assert not failures
+        assert not violations
+        assert len(memo) <= 5
+        assert memo.stats.evictions > 0
+        assert memo.stats.hits + memo.stats.misses == THREADS * 150

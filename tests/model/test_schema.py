@@ -92,6 +92,21 @@ class TestDatabase:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        import pickle
+
+        schema = Schema({"R": parse_type("U")})
+        database = Database(schema, {"R": {1, 2}})
+        first = hash(database)
+        calls = []
+        monkeypatch.setattr(
+            Schema, "__hash__", lambda self: calls.append(self) or 0
+        )
+        assert hash(database) == first
+        assert calls == []
+        monkeypatch.undo()
+        assert hash(pickle.loads(pickle.dumps(database))) == first
+
     def test_unknown_predicate_lookup(self, unary_db):
         with pytest.raises(SchemaError):
             unary_db["missing"]

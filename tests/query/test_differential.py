@@ -85,6 +85,17 @@ BANK = [
     ("main", "rules { T(x) :- S(x). } answer T"),
     ("main", "rules { Q(x, y) :- R(x, y), S(x). } answer Q"),
     ("main", "rules { P(x) :- S(x), not T(x). T(x) :- R(x, x). } answer P"),
+    # Constant-bound recursive blocks: the demand (magic-set) rewrite
+    (
+        "main",
+        "rules { T(x, y) :- R(x, y). T(x, z) :- T(x, y), R(y, z). "
+        "Q(x, y) :- T(x, y), x = 'b', y = 'd'. } answer Q",
+    ),
+    (
+        "main",
+        "rules { T(x, z) :- R(x, y), T(y, z). T(x, y) :- R(x, y). "
+        "Q(y) :- T('b', y). } answer Q",
+    ),
     # BK rule blocks
     ("main", "bk { A(x) :- S(x). } answer A"),
     ("atoms", "bk { A(x) :- R(x). } answer A"),
@@ -190,6 +201,12 @@ ACTUALS_BANK = [
         "col-naive",
     ),
     ("main", "rules { Q(x, y) :- R(x, y), S(x). } answer Q", "col-inflationary"),
+    (
+        "main",
+        "rules { T(x, y) :- R(x, y). T(x, z) :- T(x, y), R(y, z). "
+        "Q(x, y) :- T(x, y), x = 'b', y = 'd'. } answer Q",
+        "col-demand",
+    ),
     # Three-literal body written in pessimal textual order: the golden
     # rendering pins the cost-based order the kernel actually chose
     # (narrow S first, then index probes) with est= vs rows_ counters.

@@ -11,10 +11,14 @@ incrementally.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.errors import EvaluationError
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
-from repro.query.session import Session
+from repro.algebra.ast import Assign, EncodeInput, Program, Var
+from repro.query.parser import parse
+from repro.query.planner import algebra_reads_only, build_plan, execute_plan
+from repro.query.session import Session, _program_predicates
 from repro.store.codec import rows_from_json
 from repro.store.tx import apply_ops
 
@@ -206,3 +210,65 @@ class TestMemoSoundnessAcrossCommits:
                 result, _ = session.run(text)
                 fresh, _ = Session(new_db).run(text)
                 assert result == fresh, text
+
+
+#: Pipeline steps over binary instances that keep them binary.
+_STEPS = st.sampled_from(
+    [
+        "select(1 = 'a')",
+        "select(2 = 'b')",
+        "select(1 = 2)",
+        "project(2, 1)",
+        "union(E)",
+        "union(R |> project(2, 1))",
+        "diff(R)",
+        "intersect(E)",
+        "product(R) |> select(2 = 3) |> project(1, 4)",
+    ]
+)
+_pipelines = st.builds(
+    lambda source, steps: " |> ".join([source, *steps]),
+    st.sampled_from(["E", "R"]),
+    st.lists(_STEPS, max_size=3),
+)
+
+
+class TestAlgebraFootprint:
+    """An algebra candidate that reads the database through its
+    footprint's predicate variables alone keys on that footprint."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_pipelines, st.tuples(_batch, _batch))
+    def test_answer_depends_only_on_the_footprint(self, text, batches):
+        database = Database(
+            MIXED, {"E": {("a", "b")}, "R": {("b", "c")}, "S": {"a"}}
+        )
+        database, _ = commit(database, *batches)
+        plan = build_plan(parse(text, schema=MIXED), database)
+        candidate = plan.candidate("algebra")
+        assert candidate.fact_driven
+        restricted = database.restrict(_program_predicates(plan.query, MIXED))
+        full = execute_plan(plan, database, Budget(), backend="algebra").result
+        assert execute_plan(plan, restricted, Budget(), backend="algebra").result == full
+
+    def test_r_query_hits_across_an_e_commit(self):
+        database = Database(
+            MIXED, {"E": {("a", "b")}, "R": {("b", "c")}, "S": {"a"}}
+        )
+        session = Session(database)
+        text = "R |> select(1 = 'b') |> project(2)"
+        first, report = session.run(text)
+        assert report.backend == "algebra" and not report.cached
+        session.plans.clear()
+        new_db, delta = commit(session.database, {"E": [["c", "d"]]})
+        session.apply_delta(new_db, delta)
+        second, report = session.run(text)
+        assert report.cached
+        assert second == first
+
+    def test_whole_database_reads_are_not_fact_driven(self):
+        encoded = Program([Assign("ANS", EncodeInput(["R"]))], input_names=("R",))
+        assert not algebra_reads_only(encoded, {"R"})
+        other = Program([Assign("ANS", Var("S"))], input_names=("S",))
+        assert not algebra_reads_only(other, {"R"})
+        assert algebra_reads_only(other, {"R", "S"})
