@@ -1,37 +1,19 @@
-"""Durable store — incremental maintenance and warm restart.
+"""Durable store — warm restart.
 
-Two measurements of :mod:`repro.store`, each doubling as a correctness
-assertion from the durability acceptance criteria:
-
-* **incremental vs recompute** — a stream of single-edge commits kept
-  current through ``Session.apply_delta`` (semi-naive delta rounds over
-  the materialized fixpoint) against cold full recomputation after
-  every commit, ending in the identical answer (the recorded
-  ``speedup`` the regression gate tracks);
-* **warm restart** — recovery time from a fresh snapshot (no replay)
-  against recovery that replays the whole WAL from snapshot-0, both
-  yielding byte-identical canonical state.
+Recovery time from a fresh snapshot (no replay) against recovery that
+replays the whole WAL from snapshot-0, both yielding byte-identical
+canonical state: a measurement of :mod:`repro.store` that doubles as a
+correctness assertion from the durability acceptance criteria.
 """
 
 import time
 
-from repro.query.session import Session
 from repro.store import CompactionPolicy, DurableDatabase, canonical_state_bytes
 from repro.store.codec import rows_from_json
-from repro.store.tx import apply_ops
 from repro.workloads.generators import chain_graph
 
-TC = "rules { T(x, y) :- R(x, y). T(x, z) :- R(x, y), T(y, z). } answer T"
-
-#: The committed stream: extend the chain one edge at a time.
-BASE_LENGTH = 48
-COMMITS = [
-    {"R": [[f"a{BASE_LENGTH + i}", f"a{BASE_LENGTH + i + 1}"]]}
-    for i in range(16)
-]
-
-#: The restart bench replays a longer stream so cold recovery is
-#: solidly replay-dominated (a stable speedup for the gate).
+#: Cold recovery replays a long stream, so it is solidly
+#: replay-dominated (a stable speedup for the gate).
 WAL_COMMITS = [{"R": [[f"a{8 + i}", f"a{9 + i}"]]} for i in range(96)]
 
 #: Compaction off: the warm-restart bench controls snapshots itself.
@@ -46,55 +28,6 @@ def _best_of(fn, repeats: int = 3) -> float:
         elapsed = time.perf_counter() - started
         best = elapsed if best is None or elapsed < best else best
     return best
-
-
-def _commit(database, batch):
-    rtype = database.schema.rtype("R")
-    asserts = {"R": rows_from_json(batch["R"], rtype, "R")}
-    return apply_ops(database, asserts, None)
-
-
-def _incremental():
-    """Materialize once, then ride delta rounds across every commit."""
-    session = Session(chain_graph(BASE_LENGTH))
-    session.materialize(TC)
-    rounds = 0
-    for batch in COMMITS:
-        new_db, delta = _commit(session.database, batch)
-        rounds += session.apply_delta(new_db, delta)["incremental_rounds"]
-    result, report = session.run(TC, backend="col-stratified")
-    assert report.cached  # served straight from the maintained view
-    return result, rounds
-
-
-def _recompute():
-    """The honest baseline: a cold fixpoint after every commit."""
-    database = chain_graph(BASE_LENGTH)
-    result = None
-    for batch in COMMITS:
-        database, _ = _commit(database, batch)
-        result, _ = Session(database).run(TC, backend="col-stratified")
-    return result
-
-
-def test_incremental_maintenance_beats_recompute(benchmark, engine_record):
-    incremental_result, rounds = benchmark(_incremental)
-    assert rounds >= len(COMMITS)  # every commit ran real delta rounds
-    recompute_result = _recompute()
-    assert incremental_result == recompute_result  # identical fixpoint
-
-    incremental = _best_of(_incremental)
-    recompute = _best_of(_recompute)
-    engine_record(
-        "store_incremental_vs_recompute",
-        workload=f"{len(COMMITS)} single-edge commits on a "
-        f"{BASE_LENGTH}-edge chain, materialized transitive closure",
-        incremental_seconds=round(incremental, 4),
-        recompute_seconds=round(recompute, 4),
-        delta_rounds=rounds,
-        speedup=round(recompute / incremental, 2),
-    )
-    assert incremental < recompute  # delta rounds pay for themselves
 
 
 def test_warm_restart_beats_full_replay(benchmark, engine_record, tmp_path):

@@ -633,10 +633,7 @@ def extend_extent(extents: dict, pred: str, derived: Value, budget: Budget, delt
     changes nothing; otherwise it enters the extent, members it now
     dominates are discarded (their valuations survive through the
     dominator — see :func:`_extent_valuations`), and the change is
-    recorded in *deltas*.  Returns whether the extent changed.  This is
-    the single mutation path shared by the fixpoint rounds and the
-    store's incremental base-fact insertion, so both observe identical
-    extents.
+    recorded in *deltas*.  Returns whether the extent changed.
     """
     extent = extents.setdefault(pred, Scan(pred))
     facts = extent.facts
@@ -665,31 +662,20 @@ def hashjoin_fixpoint(
     budget: Budget,
     max_rounds: int | None = None,
     stats=None,
-    initial_deltas: dict | None = None,
     naive: bool = False,
 ) -> bool:
     """The (semi-naive) round loop over mutable *extents*.
 
     Returns the :class:`~repro.engine.ops.FixpointDriver` verdict
-    (``False`` = *max_rounds* cut before convergence).  *initial_deltas*
-    turns the call into a **continuation**: the extents are assumed
-    closed under the rules except for the facts in the deltas (already
-    inserted by the caller, e.g. via :func:`extend_extent`), and round
-    one is a delta round seeded from them instead of a full pass.  BK
-    has no negation, so continuation from a closed extent set computes
-    exactly the fixpoint of the enlarged base — the store's incremental
-    maintenance path.  ``naive=True`` joins every rule over the full
-    extents every round (and ignores *initial_deltas*).
+    (``False`` = *max_rounds* cut before convergence).  Round one joins
+    every rule over the full extents; later rounds only take valuations
+    that use a fact derived the round before.  ``naive=True`` joins
+    every rule over the full extents every round.
     """
-    state: dict = {"deltas": initial_deltas}  # None = full first round
+    state: dict = {"deltas": None}
 
     def step(round_number: int) -> bool:
-        if naive:
-            use_deltas = None
-        elif round_number == 1:
-            use_deltas = initial_deltas  # None unless continuing
-        else:
-            use_deltas = state["deltas"]
+        use_deltas = None if naive or round_number == 1 else state["deltas"]
         new_deltas: dict = {}
         for rule in program.rules:
             if use_deltas is not None and not any(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from ..errors import TypeCheckError
 from .ast import ColProgram, ConstD, EqLit, FuncLit, PredLit, Rule, TupD, VarD
+from .stratify import recursive_symbols
 
 __all__ = ["DemandRewrite", "NotDemandable", "demand_rewrite"]
 
@@ -129,27 +130,6 @@ def _check_scope(program: ColProgram, reserved: frozenset) -> dict:
     return shapes
 
 
-def _recursive(program: ColProgram, idb) -> set:
-    """IDB predicates that lie on a cycle of the dependency graph."""
-    edges = {name: set() for name in idb}
-    for rule in program.rules:
-        for literal in rule.body:
-            if isinstance(literal, PredLit) and literal.name in idb:
-                edges[rule.head.name].add(literal.name)
-    cyclic = set()
-    for start in idb:
-        seen, stack = set(), list(edges[start])
-        while stack:
-            name = stack.pop()
-            if name == start:
-                cyclic.add(start)
-                break
-            if name not in seen:
-                seen.add(name)
-                stack.extend(edges[name])
-    return cyclic
-
-
 def _bindable(literal: EqLit, bound: set) -> bool:
     """Whether *literal* can be evaluated now: a filter over bound
     variables, or (positive) a binding of one variable side."""
@@ -215,7 +195,7 @@ def demand_rewrite(program: ColProgram, reserved=()) -> DemandRewrite:
     """
     reserved = frozenset(reserved)
     shapes = _check_scope(program, reserved)
-    recursive = _recursive(program, shapes)
+    recursive = {name for kind, name in recursive_symbols(program) if kind == "pred"}
     if not recursive:
         raise NotDemandable("block is not recursive")
     taken = set(reserved) | set(shapes)

@@ -68,6 +68,30 @@ def dependency_edges(program: ColProgram) -> set:
     return edges
 
 
+def recursive_symbols(program: ColProgram) -> set:
+    """The symbol nodes of :func:`dependency_edges` that lie on a cycle.
+
+    A block is recursive exactly when this is non-empty: a symbol that
+    only reads symbols defined before it is settled in one pass,
+    however many rules mention it.
+    """
+    successors: dict = {}
+    for source, target, _ in dependency_edges(program):
+        successors.setdefault(source, set()).add(target)
+    cyclic = set()
+    for start in successors:
+        seen, stack = set(), list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node == start:
+                cyclic.add(start)
+                break
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors.get(node, ()))
+    return cyclic
+
+
 def stratify(program: ColProgram) -> list:
     """Assign strata; returns a list of rule groups in evaluation order.
 

@@ -207,7 +207,6 @@ def seminaive_fixpoint(
     negation_interp: Interp | None = None,
     naive: bool = False,
     stats: OpStats | None = None,
-    initial_delta: Delta | None = None,
 ) -> Interp:
     """Delta-driven replacement for :func:`repro.deductive.col.fixpoint`.
 
@@ -217,18 +216,6 @@ def seminaive_fixpoint(
     ``naive=True`` the original driver runs instead.  Rounds run
     through the kernel :class:`~repro.engine.ops.FixpointDriver`;
     *stats* (when given) accumulates the round count for EXPLAIN.
-
-    *initial_delta* turns the call into a **continuation**: *interp* is
-    assumed to already be a fixpoint of *rules* except for the facts in
-    the delta (which the caller has already added to *interp*), and
-    round 1 becomes a delta round seeded from it instead of a full
-    pass.  For monotone rule sets (no negation, no function-value
-    terms — :func:`repro.store.maintenance.delta_safe`) this computes
-    exactly the fixpoint of the enlarged base, which is how the store's
-    incremental maintenance refreshes materialized fixpoints without
-    recomputing them.  With ``naive=True`` the continuation request
-    falls back to the naive driver from the current interpretation —
-    still exact for monotone rules, just not delta-driven.
     """
     if naive:
         return naive_fixpoint(rules, interp, budget, negation_interp, stats=stats)
@@ -239,11 +226,6 @@ def seminaive_fixpoint(
 
     def step(round_number: int) -> bool:
         if round_number == 1:
-            if initial_delta is not None:
-                # Continuation: the caller's inserted facts are the
-                # first delta; skip the full seeding pass.
-                state["delta"] = initial_delta
-                return not initial_delta.empty()
             # Round 1: one full cumulative pass seeds the delta.
             delta = Delta()
             for rule in rules:

@@ -200,12 +200,9 @@ class RuleQuery(SurfaceQuery):
         )
 
     def is_recursive(self) -> bool:
-        heads = {
-            rule.head.name
-            for rule in self.program.rules
-            if hasattr(rule.head, "name")
-        }
-        return any(rule.predicates() & heads for rule in self.program.rules)
+        from ..deductive.stratify import recursive_symbols
+
+        return bool(recursive_symbols(self.program))
 
     def constants(self) -> frozenset:
         return self._const_atoms

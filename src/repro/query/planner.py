@@ -179,15 +179,15 @@ class Plan:
         return None
 
     def fingerprint_payload(self) -> str:
-        """Key material for the genericity-aware memo cache.
+        """Key material for the genericity-aware memo cache: the query
+        text alone.
 
-        The surface text determines the lowered programs, and the
-        candidate list (with costs) determines the chosen route; both
-        enter the fingerprint so replanning under a different database
-        profile cannot alias."""
-        lines = [self.query.text]
-        lines += [f"{c.backend}:{c.cost}" for c in self.candidates]
-        return "\n".join(lines)
+        The text and the schema determine the lowered programs, the
+        schema is part of the memo's key database, and the chosen
+        backend enters the key beside the fingerprint.  Costs read
+        instance statistics, so they stay out: the same text on the
+        same key data keys alike whichever database it was planned on."""
+        return self.query.text
 
     @cached_property
     def fingerprint(self) -> str:

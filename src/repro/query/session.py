@@ -7,14 +7,18 @@ two caches:
   plan depends on the database's instance statistics, so the database
   itself is part of the key);
 * the genericity-aware :class:`~repro.engine.cache.MemoCache` for
-  *results*, keyed by plan fingerprint, backend, constants and the
-  database (or its restriction to the query's footprint).  The same
+  *results*, keyed by the query text (its plan's fingerprint), backend,
+  constants and the database (or its restriction to the query's
+  footprint) — what determines the answer, and nothing else.  The same
   data hits exactly, with no canonical form; a database whose atoms are
   permuted hits through canonical forms, computed only once the query
   already has an entry to match.  Plans marked non-generic
   (invention-capable comprehensions) bypass it, per Section 6: their
   output may depend on the fresh objects the evaluator invents, which
   no key can capture.
+
+Both caches are pure functions of (text, database), so a commit only
+switches the session's database (:meth:`Session.apply_delta`).
 
 Each query runs under a *child* of the session budget, so one runaway
 query cannot silently drain the session's allowance for the rest.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from ..budget import Budget
 from ..catalog import Catalog
-from ..engine.cache import LRUCache, MemoCache, program_fingerprint
+from ..engine.cache import LRUCache, MemoCache
 from ..model.intern import INTERNER
 from ..model.schema import Database, Schema
 from ..obs.metrics import flatten
@@ -33,17 +37,6 @@ from .explain import render, render_plan
 from .ir import BKQuery, RuleQuery
 from .parser import parse
 from .planner import ExecutionReport, Plan, build_plan, execute_plan
-
-#: Backend groups a materialized view answers for.  A delta-safe COL
-#: program is one monotone stratum, so its stratified, inflationary,
-#: and naive fixpoints coincide; BK's two drivers agree by
-#: construction.  The compiled/whole-database routes re-encode the full
-#: database and are served normally.
-_COL_VIEW_BACKENDS = frozenset(
-    {"col-stratified", "col-demand", "col-inflationary", "col-naive"}
-)
-_BK_VIEW_BACKENDS = frozenset({"bk-hashjoin", "bk-naive"})
-
 
 def _program_predicates(query, schema) -> frozenset:
     """The schema predicates whose instances can influence *query*.
@@ -87,11 +80,6 @@ class Session:
         self.memo = MemoCache(max_entries=memo_entries)
         self.plans = LRUCache(max_entries=plan_entries)
         self.last_report: ExecutionReport | None = None
-        from ..store.maintenance import ViewRegistry
-
-        #: Materialized fixpoints (see :meth:`materialize`), maintained
-        #: incrementally across :meth:`apply_delta`.
-        self.views = ViewRegistry()
 
     # -- parsing and planning -------------------------------------------
 
@@ -136,9 +124,6 @@ class Session:
             captured: list = []
 
             def evaluate(db: Database):
-                view = self._view_answer(plan, chosen, db)
-                if view is not None:
-                    return view
                 with span("session.execute", backend=chosen):
                     report = execute_plan(plan, db, child, backend=backend)
                 captured.append(report)
@@ -197,121 +182,20 @@ class Session:
         self.last_report = report
         return result
 
-    # -- materialized views and committed deltas ------------------------
+    # -- committed deltas ------------------------------------------------
 
-    def _view_key(self, query) -> tuple | None:
-        if isinstance(query, RuleQuery):
-            return ("col", program_fingerprint(query.program))
-        if isinstance(query, BKQuery):
-            return ("bk", program_fingerprint(query.program))
-        return None
+    def apply_delta(self, new_database: Database) -> None:
+        """Switch the session to *new_database* after a commit.
 
-    def _view_answer(self, plan, chosen: str, database: Database):
-        """The materialized answer for *plan* on *database*, if a
-        current view exists and *chosen* is a backend it stands in for."""
-        if not len(self.views):
-            return None
-        query = plan.query
-        if isinstance(query, RuleQuery) and chosen in _COL_VIEW_BACKENDS:
-            key = self._view_key(query)
-        elif isinstance(query, BKQuery) and chosen in _BK_VIEW_BACKENDS:
-            key = self._view_key(query)
-        else:
-            return None
-        # One lock acquisition covers lookup *and* read, so a
-        # concurrent update cannot refresh the view in between.
-        return self.views.answer(key, database)
-
-    def materialize(self, text: str):
-        """Materialize *text*'s fixpoint as an incrementally maintained
-        view.
-
-        Only rule-block queries qualify: a COL block must be
-        *delta-safe* (no negation, no function-value terms — see
-        :func:`repro.store.maintenance.delta_safe`); every BK block is
-        (BK has no negation).  Subsequent :meth:`run` calls on the same
-        database answer from the view for the drivers it stands in
-        for, and :meth:`apply_delta` refreshes it by semi-naive delta
-        rounds instead of recomputation.  Returns the view; raises
-        :class:`~repro.errors.EvaluationError` for non-materializable
-        queries.
+        Nothing else moves.  Memo entries are keyed on the data each
+        was computed from (the whole database, or its restriction to
+        the query's footprint), and plans on ``(text, database)``: an
+        entry the commit affects is unreachable from the new state and
+        ages out through its LRU, an entry whose footprint the commit
+        missed still hits (the catalog carries its restrict view over),
+        and a state that recurs hits again.
         """
-        from ..errors import EvaluationError
-        from ..store.maintenance import BKView, ColView, delta_safe
-
-        plan = self.plan(text)
-        query = plan.query
-        key = self._view_key(query)
-        if key is None:
-            raise EvaluationError(
-                f"only rule-block queries can be materialized, not {query.form!r}"
-            )
-        existing = self.views.lookup(key, self.database)
-        if existing is not None:
-            return existing
-        if isinstance(query, RuleQuery):
-            if not delta_safe(query.program):
-                raise EvaluationError(
-                    "program is not delta-safe (negation or function-value "
-                    "terms): incremental maintenance would be unsound"
-                )
-            view = ColView(query.program, self.database)
-        else:
-            view = BKView(query.program, self.database)
-        self.views.register(key, view)
-        return view
-
-    def apply_delta(self, new_database: Database, delta) -> dict:
-        """Move the session onto *new_database* after a committed
-        *delta* (a :class:`~repro.store.tx.FactDelta`), keeping every
-        cache that provably survives.
-
-        * **Memo**: untouched.  Every entry is keyed on the data it was
-          computed from (the whole database, or its restriction to the
-          query's footprint), so an entry the delta affects is simply
-          unreachable from the new state and ages out through the LRU
-          — and hits again if that state recurs.
-        * **Plans**: entries for the old database whose program
-          footprint is disjoint from the delta are re-keyed to the new
-          database *preserving the Plan object* — its fingerprint (and
-          with it the memo keys) survives; intersecting entries are
-          dropped for replanning.
-        * **Views**: asserted facts continue each view's fixpoint as
-          delta rounds; views intersecting a retraction are dropped
-          (see :class:`~repro.store.maintenance.ViewRegistry`).
-
-        Returns a counter dict (folded into serve-layer STATS).
-        """
-        old = self.database
-        stats = {
-            "plans_migrated": 0,
-            "plans_dropped": 0,
-            "views_refreshed": 0,
-            "views_dropped": 0,
-            "incremental_rounds": 0,
-        }
-        if delta.empty():
-            self.database = new_database
-            return stats
-        touched = delta.predicates()
-        for key, plan in self.plans.items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                continue
-            text, keyed_db = key
-            if keyed_db != old:
-                continue
-            self.plans.pop(key)
-            if _program_predicates(plan.query, old.schema).isdisjoint(touched):
-                self.plans.put((text, new_database), plan)
-                stats["plans_migrated"] += 1
-            else:
-                stats["plans_dropped"] += 1
-        view_stats = self.views.apply_delta(new_database, delta)
-        stats["views_refreshed"] = view_stats["refreshed"]
-        stats["views_dropped"] = view_stats["dropped"]
-        stats["incremental_rounds"] = view_stats["incremental_rounds"]
         self.database = new_database
-        return stats
 
     # -- observability ---------------------------------------------------
 
@@ -327,7 +211,6 @@ class Session:
         return {
             "memo": self.memo.stats.as_dict(),
             "plans": self.plans.stats.as_dict(),
-            "views": len(self.views),
         }
 
     def counter_snapshot(self) -> dict:

@@ -21,7 +21,7 @@ shared engine.  Pieces:
   exponential backoff + jitter;
 * ``python -m repro.serve`` — the CLI entry point; ``--data-dir``
   attaches the :mod:`repro.store` durability layer (WAL commits,
-  snapshots, crash recovery, incremental view maintenance) and
+  snapshots, crash recovery) and
   ``--slow-query-ms N`` arms the slow-query view.
 """
 

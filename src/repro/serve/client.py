@@ -207,8 +207,8 @@ class ServeClient:
 
         ``asserts`` / ``retracts`` map predicate names to row arrays in
         the LOAD row format.  The response carries the *effective*
-        counts, the commit LSN (``null`` without a durable store), and
-        the cache-maintenance counters.  Retryable only up to the wire:
+        counts, whether the commit is durable, and the commit LSN
+        (``null`` without a durable store).  Retryable only up to the wire:
         a transaction rejected at admission never ran, so resending is
         safe; one that failed mid-commit reports a non-retryable error.
         """

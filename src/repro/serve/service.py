@@ -46,12 +46,11 @@ With a *data_dir*, the registry is backed by a
 :class:`~repro.store.store.Store` of durable databases: seeds become
 snapshot-0, databases found on disk are crash-recovered at startup,
 and ``UPDATE`` requests commit through each database's write-ahead log
-before the session's caches and materialized views are maintained
-incrementally.  Writes are serialized **per database** (single-writer)
-while queries against other databases proceed; the store's counters
-(``store.wal.appends``, ``store.wal.bytes``, ``store.snapshots``,
-``store.recoveries``, ``store.incremental_rounds``) surface in STATS
-next to a ``state_sha256`` of each database's canonical bytes.
+before the session switches to the new state.  Writes are serialized
+**per database** (single-writer) while queries against other databases
+proceed; the store's counters (``store.wal.appends``,
+``store.wal.bytes``, ``store.snapshots``, ``store.recoveries``) surface
+in STATS next to a ``state_sha256`` of each database's canonical bytes.
 """
 
 from __future__ import annotations
@@ -337,7 +336,7 @@ class QueryService:
             "deductive.kernels.hits", "deductive.kernels.misses",
             "deductive.kernels.invalidations",
             "store.wal.appends", "store.wal.bytes", "store.snapshots",
-            "store.recoveries", "store.incremental_rounds",
+            "store.recoveries",
             "engine.ops.rows_in", "engine.ops.rows_out", "engine.ops.probes",
             "engine.ops.index_builds", "engine.ops.rounds",
         ):
@@ -560,9 +559,9 @@ class QueryService:
         """Admit one transaction, wait, and return its outcome.
 
         An ``ok`` outcome's ``result`` is the commit summary dict
-        (effective counts, LSN, cache-maintenance counters); the
-        transaction is durable when the outcome arrives if the service
-        has a store.
+        (``asserted``/``retracted`` effective counts, ``durable`` and
+        ``lsn``); the transaction is durable when the outcome arrives if
+        the service has a store.
         """
         pending = self.submit_update(
             db, asserts, retracts, timeout=timeout, priority=priority
@@ -704,13 +703,13 @@ class QueryService:
 
     def _run_update(self, ticket: _Ticket) -> tuple:
         """Commit one transaction: WAL append (when durable), then
-        incremental maintenance of the session's caches and views.
+        switch the session to the new state.
 
         The writer lock serializes transactions *per database* — the
-        WAL append, the session's database swap, and the cache/view
-        maintenance are one atomic unit from any other writer's point
-        of view.  Readers are never blocked: queries snapshot the
-        session's database reference on entry.
+        WAL append and the session's database swap are one atomic unit
+        from any other writer's point of view.  Readers are never
+        blocked: queries snapshot the session's database reference on
+        entry.
         """
         trace = ticket.trace
         db = trace.db
@@ -739,12 +738,9 @@ class QueryService:
                         session.database, asserts, retracts
                     )
                     lsn = None
-                maintenance = session.apply_delta(new_database, delta)
+                session.apply_delta(new_database)
             plus, minus = delta.counts()
             self.metrics.counter("serve.updates.applied").inc()
-            self.metrics.counter("store.incremental_rounds").inc(
-                maintenance["incremental_rounds"]
-            )
             trace.backend = "store" if durable is not None else "memory"
         except ReproError as exc:
             return "error", UNDEFINED, str(exc)
@@ -755,7 +751,6 @@ class QueryService:
             "retracted": minus,
             "durable": durable is not None,
             "lsn": lsn,
-            **maintenance,
         }
         return "ok", result, None
 

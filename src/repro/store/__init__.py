@@ -15,10 +15,7 @@ turns the query engine into a database:
   size/record-count compaction policy;
 * :mod:`repro.store.durable` — one durable database: WAL + snapshots +
   crash recovery, proving byte-identical canonical state;
-* :mod:`repro.store.store` — a directory of named durable databases;
-* :mod:`repro.store.maintenance` — incremental fixpoint maintenance:
-  committed ``ASSERT`` deltas run as semi-naive delta rounds through
-  the engine instead of recomputing materialized COL/BK fixpoints.
+* :mod:`repro.store.store` — a directory of named durable databases.
 """
 
 from .codec import (
@@ -29,7 +26,6 @@ from .codec import (
     value_to_json,
 )
 from .durable import CommitResult, DurableDatabase, StoreError, StoreStats
-from .maintenance import ViewRegistry, delta_safe
 from .snapshot import CompactionPolicy, canonical_state_bytes
 from .store import Store
 from .tx import FactDelta, apply_ops
@@ -44,14 +40,12 @@ __all__ = [
     "Store",
     "StoreError",
     "StoreStats",
-    "ViewRegistry",
     "WalRecord",
     "WriteAheadLog",
     "apply_ops",
     "canonical_state_bytes",
     "database_from_spec",
     "database_to_spec",
-    "delta_safe",
     "read_records",
     "value_from_json",
     "value_to_json",

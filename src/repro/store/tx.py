@@ -9,9 +9,8 @@ present fact or retracting an absent one is a no-op, so replaying a
 logged delta is exact and idempotent).
 
 The delta is what the rest of the subsystem keys on: the WAL logs it,
-incremental maintenance feeds its asserts to the semi-naive engine as
-a delta round, and the catalog, plan cache and views carry over
-whatever its predicate footprint leaves untouched.
+and the catalog carries over whatever its predicate footprint leaves
+untouched.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ class FactDelta:
     ``asserted`` / ``retracted`` map predicate names to tuples of
     values (canonically ordered, so two equal deltas encode
     identically).  A delta also knows its *footprint* — the predicates
-    it touches — which :meth:`repro.query.session.Session.apply_delta`
-    checks each cached plan and view against.
+    it touches — which :meth:`repro.catalog.Catalog.migrate` checks
+    each relation's statistics and restrict view against.
     """
 
     __slots__ = ("asserted", "retracted")

@@ -126,6 +126,16 @@ class TestRuleBlocks:
         negated = parse("rules { P(x) :- S(x), not T(x). T(x) :- R(x, x). } answer P")
         assert negated.has_negation()
 
+    def test_recursion_is_a_dependency_cycle(self):
+        """A body that reads another rule's head is not recursion by
+        itself: T is settled before P reads it."""
+        negated = parse("rules { P(x) :- S(x), not T(x). T(x) :- R(x, x). } answer P")
+        assert not negated.is_recursive()
+        chained = parse("rules { T(x) :- S(x). P(x) :- T(x). } answer P")
+        assert not chained.is_recursive()
+        mutual = parse("rules { A(x) :- S(x). A(x) :- B(x). B(x) :- A(x). } answer B")
+        assert mutual.is_recursive()
+
     def test_range_restriction_enforced_at_parse(self):
         with pytest.raises(TypeCheckError, match="range-restricted"):
             parse("rules { T(x, y) :- S(x). }")

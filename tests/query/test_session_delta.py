@@ -1,21 +1,20 @@
-"""Session.apply_delta: memo keying across commits, plan migration, views.
+"""Session.apply_delta: memo keying and plans across commits.
 
-The session is the layer where a committed delta meets the caches: the
-genericity-aware memo is keyed on the data each entry was computed
+A commit only switches the session's database.  The genericity-aware
+memo is keyed on the query text and the data each entry was computed
 from, so entries whose footprint intersects the delta miss and the
-others *hit* across the commit (restricted keying); the plan LRU
-migrates footprint-disjoint plans, and materialized views refresh
-incrementally.
+others *hit* across the commit (restricted keying); plans are keyed on
+(text, database), so every plan after a commit is the one a fresh
+session builds.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.budget import Budget
-from repro.errors import EvaluationError
 from repro.model.schema import Database, Schema
 from repro.model.types import parse_type
 from repro.algebra.ast import Assign, EncodeInput, Program, Var
+from repro.query.explain import render_plan
 from repro.query.parser import parse
 from repro.query.planner import algebra_reads_only, build_plan, execute_plan
 from repro.query.session import Session, _program_predicates
@@ -23,7 +22,7 @@ from repro.store.codec import rows_from_json
 from repro.store.tx import apply_ops
 
 TC = "rules { T(x, y) :- E(x, y). T(x, z) :- E(x, y), T(y, z). } answer T"
-OVER_S = "{ x | S(x) }"
+R_CLOSURE = "rules { T(x, y) :- R(x, y). T(x, z) :- R(x, y), T(y, z). } answer T"
 
 MIXED = Schema(
     {"E": parse_type("[U, U]"), "R": parse_type("[U, U]"), "S": parse_type("U")}
@@ -33,7 +32,7 @@ MIXED = Schema(
 #: no body (only the base S facts seeding its fixpoint bring S in).
 FACT_QUERIES = (
     TC,
-    "rules { T(x, y) :- R(x, y). T(x, z) :- R(x, y), T(y, z). } answer T",
+    R_CLOSURE,
     "bk { A(x) :- S(x). } answer A",
     "rules { S(y) :- E(x, y). } answer S",
 )
@@ -69,9 +68,8 @@ class TestRestrictedMemoKeying:
         session = Session(make_db([("a", "b"), ("b", "c")]))
         first, report = session.run(TC, backend="col-stratified")
         assert not report.cached
-        new_db, delta = commit(session.database, {"S": ["zz"]})
-        stats = session.apply_delta(new_db, delta)
-        assert stats["plans_migrated"] >= 1
+        new_db, _ = commit(session.database, {"S": ["zz"]})
+        session.apply_delta(new_db)
         second, report = session.run(TC, backend="col-stratified")
         assert report.cached  # memo HIT across the commit
         assert second == first
@@ -79,9 +77,8 @@ class TestRestrictedMemoKeying:
     def test_intersecting_delta_invalidates(self):
         session = Session(make_db([("a", "b")]))
         session.run(TC, backend="col-stratified")
-        new_db, delta = commit(session.database, {"E": [["b", "c"]]})
-        stats = session.apply_delta(new_db, delta)
-        assert stats["plans_dropped"] >= 1
+        new_db, _ = commit(session.database, {"E": [["b", "c"]]})
+        session.apply_delta(new_db)
         result, report = session.run(TC, backend="col-stratified")
         assert not report.cached
         assert "Atom('c')" in repr(result)  # fresh answer sees the edge
@@ -93,8 +90,8 @@ class TestRestrictedMemoKeying:
         database = Database(schema, {"E": {("a", "b")}, "T": set()})
         session = Session(database)
         first, _ = session.run(TC, backend="col-stratified")
-        new_db, delta = commit(session.database, {"T": [["x", "y"]]})
-        session.apply_delta(new_db, delta)
+        new_db, _ = commit(session.database, {"T": [["x", "y"]]})
+        session.apply_delta(new_db)
         second, report = session.run(TC, backend="col-stratified")
         assert not report.cached
         assert second != first  # the base T fact feeds the answer
@@ -104,11 +101,11 @@ class TestRestrictedMemoKeying:
         the entry computed before the toggle answers again."""
         session = Session(make_db([("a", "b"), ("b", "c")]))
         first, _ = session.run(TC, backend="col-stratified")
-        session.apply_delta(*commit(session.database, {"E": [["c", "a"]]}))
+        session.apply_delta(commit(session.database, {"E": [["c", "a"]]})[0])
         _, report = session.run(TC, backend="col-stratified")
         assert not report.cached
         session.apply_delta(
-            *commit(session.database, retracts={"E": [["c", "a"]]})
+            commit(session.database, retracts={"E": [["c", "a"]]})[0]
         )
         restored, report = session.run(TC, backend="col-stratified")
         assert report.cached
@@ -120,73 +117,68 @@ class TestRestrictedMemoKeying:
         session.run(TC)
         new_db, delta = commit(session.database, {"E": [["a", "b"]]})
         assert delta.empty() and new_db == session.database
-        stats = session.apply_delta(new_db, delta)
-        assert all(count == 0 for count in stats.values())
-
-
-class TestPlanMigration:
-    def test_migrated_plan_is_the_same_object(self):
-        session = Session(make_db([("a", "b")]))
-        plan = session.plan(TC)
-        new_db, delta = commit(session.database, {"S": ["zz"]})
-        session.apply_delta(new_db, delta)
-        assert session.plan(TC) is plan  # survived, re-keyed
-
-    def test_intersecting_plan_is_replanned(self):
-        session = Session(make_db([("a", "b")]))
-        plan = session.plan(TC)
-        new_db, delta = commit(session.database, {"E": [["b", "c"]]})
-        session.apply_delta(new_db, delta)
-        assert session.plan(TC) is not plan
-
-
-class TestMaterializedViews:
-    def test_view_answers_for_fixpoint_drivers(self):
-        session = Session(make_db([("a", "b"), ("b", "c")]))
-        view = session.materialize(TC)
-        for backend in ("col-stratified", "col-inflationary", "col-naive"):
-            result, report = session.run(TC, backend=backend)
-            assert report.cached  # served by the view, nothing ran
-            assert result == view.answer()
-
-    def test_view_refreshes_across_apply_delta(self):
-        session = Session(make_db([("a", "b")]))
-        session.materialize(TC)
-        new_db, delta = commit(session.database, {"E": [["b", "c"]]})
-        stats = session.apply_delta(new_db, delta)
-        assert stats["views_refreshed"] == 1
-        assert stats["incremental_rounds"] >= 1
-        result, report = session.run(TC, backend="col-naive")
+        session.apply_delta(new_db)
+        assert session.database is new_db
+        _, report = session.run(TC)
         assert report.cached
-        fresh, _ = Session(new_db).run(TC, backend="col-stratified")
-        assert result == fresh
 
-    def test_view_dropped_on_retraction_then_recompute_correct(self):
-        session = Session(make_db([("a", "b"), ("b", "c")]))
-        session.materialize(TC)
-        new_db, delta = commit(session.database, retracts={"E": [["a", "b"]]})
-        stats = session.apply_delta(new_db, delta)
-        assert stats["views_dropped"] == 1
-        result, report = session.run(TC, backend="col-stratified")
-        assert not report.cached
-        assert "Atom('a')" not in repr(result)
-
-    def test_materialize_is_idempotent(self):
-        session = Session(make_db([("a", "b")]))
-        assert session.materialize(TC) is session.materialize(TC)
-
-    def test_non_rule_queries_refuse(self):
-        session = Session(make_db([("a", "b")]))
-        with pytest.raises(EvaluationError, match="rule-block"):
-            session.materialize(OVER_S)
-
-    def test_unsafe_programs_refuse(self):
-        session = Session(make_db([("a", "b")]))
-        unsafe = (
-            "rules { P(x) :- S(x), not T(x). T(x) :- E(x, x). } answer P"
+    def test_footprint_hit_survives_a_replan(self):
+        """The memo key holds the query text, not the plan's costs: a
+        replan on the committed state (the plan LRU cleared) keys the
+        unchanged R footprint alike, although eight new E facts
+        reprice every candidate."""
+        database = Database(
+            MIXED, {"E": set(), "R": {("a", "b"), ("b", "c")}, "S": set()}
         )
-        with pytest.raises(EvaluationError, match="delta-safe"):
-            session.materialize(unsafe)
+        session = Session(database)
+        first, report = session.run(R_CLOSURE)
+        assert not report.cached
+        edges = [[f"e{i}", f"e{i + 1}"] for i in range(8)]
+        new_db, _ = commit(session.database, {"E": edges})
+        session.apply_delta(new_db)
+        session.plans.clear()
+        second, again = session.run(R_CLOSURE)
+        assert again.backend == report.backend
+        assert again.cached
+        assert second == first
+
+
+class TestPlansAcrossCommits:
+    """A plan is a pure function of (text, database): after any commit
+    sequence, the long-lived session's plan is the one a fresh session
+    builds on the same state — candidates, costs, fingerprint and
+    EXPLAIN bytes."""
+
+    TEXTS = FACT_QUERIES + (
+        "{ [x, z] | some y / U : R([x, y]) and R([y, z]) }",
+        "R |> select(1 = 'b') |> project(2)",
+    )
+
+    @staticmethod
+    def _shape(plan):
+        return (
+            [(c.backend, c.cost) for c in plan.candidates],
+            plan.fingerprint,
+            render_plan(plan),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(_batch, _batch), min_size=1, max_size=6))
+    def test_plan_equals_a_fresh_sessions(self, transactions):
+        database = Database(
+            MIXED, {"E": {("a", "b")}, "R": {("b", "c")}, "S": {"a"}}
+        )
+        session = Session(database)
+        for text in self.TEXTS:
+            session.plan(text)
+        for asserts, retracts in transactions:
+            new_db, _ = commit(session.database, asserts, retracts)
+            session.apply_delta(new_db)
+            fresh = Session(new_db)
+            for text in self.TEXTS:
+                assert self._shape(session.plan(text)) == self._shape(
+                    fresh.plan(text)
+                ), text
 
 
 class TestMemoSoundnessAcrossCommits:
@@ -204,8 +196,8 @@ class TestMemoSoundnessAcrossCommits:
         for text in FACT_QUERIES:
             session.run(text)
         for asserts, retracts in transactions:
-            new_db, delta = commit(session.database, asserts, retracts)
-            session.apply_delta(new_db, delta)
+            new_db, _ = commit(session.database, asserts, retracts)
+            session.apply_delta(new_db)
             for text in FACT_QUERIES:
                 result, _ = session.run(text)
                 fresh, _ = Session(new_db).run(text)
@@ -260,8 +252,8 @@ class TestAlgebraFootprint:
         first, report = session.run(text)
         assert report.backend == "algebra" and not report.cached
         session.plans.clear()
-        new_db, delta = commit(session.database, {"E": [["c", "d"]]})
-        session.apply_delta(new_db, delta)
+        new_db, _ = commit(session.database, {"E": [["c", "d"]]})
+        session.apply_delta(new_db)
         second, report = session.run(text)
         assert report.cached
         assert second == first

@@ -70,7 +70,7 @@ class TestUnifiedStats:
             assert sorted(section) == ["adom", "catalog", "facts", "max_depth"]
             # Per-database counters live in the metrics schema only.
             derived = nest(stats["metrics"], "db.main")
-            assert {"memo", "plans", "views"} <= set(derived)
+            assert {"memo", "plans"} <= set(derived)
         finally:
             service.close()
 

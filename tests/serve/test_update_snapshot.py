@@ -81,6 +81,12 @@ class TestWireUpdate:
         after = client.query("main", TC)["result"]
         assert after != before and "Atom('d')" in after
 
+    def test_reply_is_the_commit_summary(self, client):
+        reply = client.update("main", asserts={"E": [["c", "d"]]})
+        assert sorted(reply) == [
+            "asserted", "durable", "lsn", "ok", "op", "retracted",
+        ]
+
     def test_noop_update_is_lsn_free(self, client):
         reply = client.update("main", asserts={"E": [["a", "b"]]})
         assert reply["asserted"] == 0 and reply["retracted"] == 0
