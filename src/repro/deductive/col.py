@@ -65,16 +65,20 @@ class Interp:
     #: scan).  Used by the ablation benchmark.
     use_index = True
 
-    def __init__(self):
+    def __init__(self, binding=None):
         self.preds: dict = {}
         self.funcs: dict = {}
+        #: The run's :class:`~repro.model.substitute.Binding` when it
+        #: executes a prepared plan: where its compiled kernels are
+        #: shared and its constants bound (see :meth:`kernels`).
+        self.binding = binding
         self._kernels = None
 
     @classmethod
-    def from_database(cls, database: Database) -> "Interp":
+    def from_database(cls, database: Database, binding=None) -> "Interp":
         from ..catalog import Catalog
 
-        interp = cls()
+        interp = cls(binding)
         catalog = Catalog.for_database(database)
         for name in database.schema.names():
             for value in database[name].items:
@@ -98,13 +102,15 @@ class Interp:
         return duplicate
 
     def kernels(self):
-        """The per-interpretation compiled-kernel cache (lazy)."""
-        cache = self._kernels
-        if cache is None:
-            from .kernels import KernelCache
+        """This interpretation's :class:`~repro.deductive.kernels.KernelRun`
+        (lazy): the run's view of its plan's shared kernel cache, or of
+        a cache of its own outside a plan."""
+        run = self._kernels
+        if run is None:
+            from .kernels import KernelRun
 
-            cache = self._kernels = KernelCache(self)
-        return cache
+            run = self._kernels = KernelRun(self, self.binding)
+        return run
 
     def pred(self, name: str) -> Scan:
         scan = self.preds.get(name)

@@ -29,6 +29,7 @@ def run_inflationary(
     budget: Budget | None = None,
     naive: bool = False,
     trace=None,
+    binding=None,
 ):
     """COL^inf semantics: the answer instance, or ``?`` on divergence.
 
@@ -43,7 +44,7 @@ def run_inflationary(
     for EXPLAIN (see :mod:`repro.deductive.physical`).
     """
     budget = budget or Budget()
-    interp = Interp.from_database(database)
+    interp = Interp.from_database(database, binding)
     if not naive:
         from ..engine.seminaive import seminaive_inflationary_fixpoint
         from .physical import col_physical, fixpoint_stats

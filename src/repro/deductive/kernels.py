@@ -22,13 +22,21 @@ specialised away at compile time:
   batches are individually tiny — the old ``HASH_JOIN_MIN_*`` marginal
   case — still amortise one build across rounds).
 
-Kernels live in a per-:class:`~repro.deductive.col.Interp`
-:class:`KernelCache` keyed on rule identity and seed occurrence; a
-cached kernel is re-ordered (and recompiled only if the order actually
-moved) when its ordering inputs change materially
-(:func:`~repro.deductive.ordering.material_change`).  Each step carries
-an :class:`~repro.engine.ops.OpStats` block, so EXPLAIN ANALYZE can
-render the chosen order with estimated vs. actual cardinalities.
+Kernels belong to the plan, not to one run: a
+:class:`KernelCache` (one per :class:`~repro.query.planner.Plan`)
+holds compiled kernels keyed on ``(prepared rule, seed, order_key)``
+and memoises :func:`~repro.deductive.ordering.choose_order` on exactly
+what it reads — per body literal, the extent size and the distinct
+counts of the positions it can determine.  A compiled step holds no
+run state: each run resolves its scans from its own
+:class:`~repro.deductive.col.Interp`, reads the prepared plan's slot
+values from its binding, and writes its actuals into its own
+:class:`~repro.engine.ops.OpStats` blocks (:class:`KernelRun`,
+:class:`RunKernel`), so concurrent runs of one plan share kernels and
+EXPLAIN ANALYZE renders each run's own orders, estimates and counters.
+Within a run a kernel is re-ordered (and switched only if the order
+actually moved) when its ordering inputs change materially
+(:func:`~repro.deductive.ordering.material_change`).
 
 Budget charging mirrors the naive drivers' textual join
 (:func:`repro.deductive.col.textual_substitutions`): one ``steps`` unit
@@ -41,13 +49,14 @@ from __future__ import annotations
 from ..catalog.estimator import FuncStats
 from ..catalog.policy import material_change, should_index as _should_index
 from ..engine.ops import FIRST_COORDINATE, OpStats, TupleKey
+from ..model.substitute import substitute
 from ..model.values import Tup
 from ..obs.span import span
 from .ast import ConstD, EqLit, FuncLit, FuncT, PredLit, SetD, TupD, VarD
 from .col import Interp, _eval_ground, eval_term, match
 from .ordering import choose_order
 
-__all__ = ["KernelCache", "RuleKernel"]
+__all__ = ["KernelCache", "KernelRun", "RuleKernel", "RunKernel"]
 
 
 def _has_funct(term) -> bool:
@@ -59,24 +68,32 @@ def _has_funct(term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Step compilers — each returns run(substitutions, neg, budget, delta) -> list
+# Step compilers
 # ---------------------------------------------------------------------------
+#
+# Each returns ``(run, params, source)``: ``run(substitutions, neg,
+# budget, delta, state) -> list`` is shared by every run of the kernel;
+# ``params`` are the values it reads that may mention a prepared plan's
+# placeholder atoms (bound once per run into ``state.params``); and
+# ``source`` names the extent the step reads (resolved per run into
+# ``state.source``).  ``state`` is the run's :class:`StepState`.
 
 
-def _compile_seed(stats: OpStats):
-    def run(substitutions, neg, budget, delta):
+def _compile_seed():
+    def run(substitutions, neg, budget, delta, state):
         count = len(substitutions)
+        stats = state.stats
         stats.rows_in += count
         stats.rows_out += count
         return substitutions
 
-    return run
+    return run, None, None
 
 
-def _compile_bind(step, stats: OpStats):
-    name, val_side = step.binder
-
-    def run(substitutions, neg, budget, delta):
+def _compile_bind(step):
+    def run(substitutions, neg, budget, delta, state):
+        name, val_side = state.params
+        stats = state.stats
         stats.rows_in += len(substitutions)
         out = []
         for subst in substitutions:
@@ -86,25 +103,31 @@ def _compile_bind(step, stats: OpStats):
         stats.rows_out += len(out)
         return out
 
-    return run
+    return run, step.binder, None
 
 
-def _compile_filter(literal, stats: OpStats):
+def _compile_filter(literal):
     if isinstance(literal, EqLit):
         left, right, positive = literal.left, literal.right, literal.positive
         if not literal.variables() and not (_has_funct(left) or _has_funct(right)):
-            # Ground comparison: constant-fold to identity or empty.
+            # Ground comparison: constant-fold to identity or empty.  A
+            # prepared plan's placeholders compare exactly as its
+            # constants do (equal constants share a placeholder), so
+            # the fold holds for every binding.
             truth = (_eval_ground(left, {}) == _eval_ground(right, {})) == positive
 
-            def run(substitutions, neg, budget, delta):
+            def run(substitutions, neg, budget, delta, state):
+                stats = state.stats
                 stats.rows_in += len(substitutions)
                 out = substitutions if truth else []
                 stats.rows_out += len(out)
                 return out
 
-            return run
+            return run, None, None
 
-        def run(substitutions, neg, budget, delta):
+        def run(substitutions, neg, budget, delta, state):
+            left, right = state.params
+            stats = state.stats
             stats.rows_in += len(substitutions)
             out = [
                 subst
@@ -115,11 +138,13 @@ def _compile_filter(literal, stats: OpStats):
             stats.rows_out += len(out)
             return out
 
-        return run
+        return run, (left, right), None
     if isinstance(literal, PredLit):  # negated membership
-        name, term = literal.name, literal.term
+        name = literal.name
 
-        def run(substitutions, neg, budget, delta):
+        def run(substitutions, neg, budget, delta, state):
+            term = state.params
+            stats = state.stats
             stats.rows_in += len(substitutions)
             facts = neg.preds.get(name, ())
             out = [
@@ -130,11 +155,13 @@ def _compile_filter(literal, stats: OpStats):
             stats.rows_out += len(out)
             return out
 
-        return run
+        return run, literal.term, None
     # Negated function membership.
-    func, arg_term, el_term = literal.func, literal.arg, literal.element
+    func = literal.func
 
-    def run(substitutions, neg, budget, delta):
+    def run(substitutions, neg, budget, delta, state):
+        arg_term, el_term = state.params
+        stats = state.stats
         stats.rows_in += len(substitutions)
         graphs = neg.funcs
         out = []
@@ -146,7 +173,7 @@ def _compile_filter(literal, stats: OpStats):
         stats.rows_out += len(out)
         return out
 
-    return run
+    return run, (literal.arg, literal.element), None
 
 
 def _tuple_shape(term: TupD, bound: set):
@@ -192,21 +219,15 @@ def _tuple_shape(term: TupD, bound: set):
     return det_positions, key_parts, actions, probe_actions
 
 
-def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats):
-    scan = interp.pred(literal.name)
+def _compile_pred(literal, bound: set, mode: str):
     name = literal.name
     term = literal.term
+    source = ("pred", name)
 
     if isinstance(term, TupD):
         det_positions, key_parts, actions, probe_actions = _tuple_shape(term, bound)
         arity = len(term.items)
         spec = TupleKey(arity, tuple(det_positions)) if det_positions else None
-
-        def key_of(subst, _parts=tuple(key_parts)):
-            return tuple(
-                value if is_const else subst[value] for is_const, value in _parts
-            )
-
         lead = term.items[0]
         lead_const = lead.value if isinstance(lead, ConstD) else None
         lead_var = (
@@ -214,9 +235,12 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
             if isinstance(lead, VarD) and lead.name in bound
             else None
         )
-        scanned = [0]
+        params = (tuple(key_parts), actions, probe_actions, lead_const, term)
 
-        def run(substitutions, neg, budget, delta):
+        def run(substitutions, neg, budget, delta, state):
+            key_parts, actions, probe_actions, lead_const, term = state.params
+            stats = state.stats
+            scan = state.source
             batch = len(substitutions)
             stats.rows_in += batch
             exclude = delta.preds.get(name) if mode == "old" and delta else None
@@ -231,12 +255,17 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
                 spec is not None
                 and use_index
                 and extent
-                and (scan.has_index(spec) or _should_index(batch, extent, scanned[0]))
+                and (scan.has_index(spec) or _should_index(batch, extent, state.scanned))
             ):
                 index = scan.index(spec)
                 stats.probes += batch
                 for subst in substitutions:
-                    bucket = index.get(key_of(subst))
+                    bucket = index.get(
+                        tuple(
+                            value if is_const else subst[value]
+                            for is_const, value in key_parts
+                        )
+                    )
                     if not bucket:
                         continue
                     if exclude is None:
@@ -269,7 +298,7 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
                                 charge("steps")
                             out.extend(match(term, fact, subst))
             else:
-                scanned[0] += batch * extent
+                state.scanned += batch * extent
                 for subst in substitutions:
                     if use_index and (lead_const is not None or lead_var is not None):
                         key = lead_const if lead_const is not None else subst[lead_var]
@@ -306,17 +335,19 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
             stats.rows_out += len(out)
             return out
 
-        return run
+        return run, params, source
 
     if isinstance(term, ConstD) or (isinstance(term, VarD) and term.name in bound):
         # Fully determined non-tuple term: a membership probe.
         const_value = term.value if isinstance(term, ConstD) else None
         var_name = term.name if isinstance(term, VarD) else None
 
-        def run(substitutions, neg, budget, delta):
+        def run(substitutions, neg, budget, delta, state):
+            const_value = state.params
+            stats = state.stats
             stats.rows_in += len(substitutions)
             exclude = delta.preds.get(name) if mode == "old" and delta else None
-            facts = scan.facts
+            facts = state.source.facts
             out = []
             charge = budget.charge
             for subst in substitutions:
@@ -328,18 +359,19 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
             stats.rows_out += len(out)
             return out
 
-        return run
+        return run, const_value, source
 
     if isinstance(term, VarD):
         # Fresh variable over the whole extent: bind every fact.
         var_name = term.name
 
-        def run(substitutions, neg, budget, delta):
+        def run(substitutions, neg, budget, delta, state):
+            stats = state.stats
             stats.rows_in += len(substitutions)
             exclude = delta.preds.get(name) if mode == "old" and delta else None
             if not exclude:
                 exclude = None
-            facts = scan.facts
+            facts = state.source.facts
             out = []
             charge = budget.charge
             for subst in substitutions:
@@ -356,15 +388,17 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
             stats.rows_out += len(out)
             return out
 
-        return run
+        return run, None, source
 
     # Set patterns and anything richer: generic match over the extent.
-    def run(substitutions, neg, budget, delta):
+    def run(substitutions, neg, budget, delta, state):
+        term = state.params
+        stats = state.stats
         stats.rows_in += len(substitutions)
         exclude = delta.preds.get(name) if mode == "old" and delta else None
         if not exclude:
             exclude = None
-        facts = scan.facts
+        facts = state.source.facts
         out = []
         charge = budget.charge
         for subst in substitutions:
@@ -376,16 +410,17 @@ def _compile_pred(literal, bound: set, mode: str, interp: Interp, stats: OpStats
         stats.rows_out += len(out)
         return out
 
-    return run
+    return run, term, source
 
 
-def _compile_func(literal, bound: set, mode: str, interp: Interp, stats: OpStats):
-    graph = interp.func_graph(literal.func)
+def _compile_func(literal, bound: set, mode: str):
     func = literal.func
-    arg_term, el_term = literal.arg, literal.element
-    arg_bound = arg_term.variables() <= bound and not _has_funct(arg_term)
+    arg_bound = literal.arg.variables() <= bound and not _has_funct(literal.arg)
 
-    def run(substitutions, neg, budget, delta):
+    def run(substitutions, neg, budget, delta, state):
+        arg_term, el_term = state.params
+        graph = state.source
+        stats = state.stats
         stats.rows_in += len(substitutions)
         exclude = delta.funcs.get(func) if mode == "old" and delta else None
         if not exclude:
@@ -414,89 +449,223 @@ def _compile_func(literal, bound: set, mode: str, interp: Interp, stats: OpStats
         stats.rows_out += len(out)
         return out
 
-    return run
+    return run, (literal.arg, literal.element), ("func", func)
 
 
 # ---------------------------------------------------------------------------
-# Kernels and their cache
+# Kernels, their per-run state, and the shared cache
 # ---------------------------------------------------------------------------
+
+
+class StepState:
+    """One run's side of a compiled step: its actuals (``stats``), its
+    adaptive scan-work tally (``scanned``), the extent it reads
+    (``source``) and its parameters with the run's constants bound."""
+
+    __slots__ = ("stats", "scanned", "source", "params")
+
+    def __init__(self, source, params):
+        self.stats = OpStats()
+        self.scanned = 0
+        self.source = source
+        self.params = params
 
 
 class CompiledStep:
-    """One compiled pipeline step plus its plan metadata and actuals."""
+    """One compiled pipeline step plus its plan metadata.
 
-    __slots__ = ("plan", "stats", "run")
+    Immutable once built, so one instance serves concurrent runs:
+    everything a run reads or writes beyond it lives in the run's
+    :class:`StepState` (:meth:`state`)."""
 
-    def __init__(self, plan_step, bound: set, interp: Interp):
+    __slots__ = ("plan", "run", "params", "slotted", "source")
+
+    def __init__(self, plan_step, bound: set, slots: dict):
         self.plan = plan_step
-        self.stats = OpStats()
         kind = plan_step.kind
         if kind == "seed":
-            self.run = _compile_seed(self.stats)
+            compiled = _compile_seed()
         elif kind == "bind":
-            self.run = _compile_bind(plan_step, self.stats)
+            compiled = _compile_bind(plan_step)
         elif kind == "filter":
-            self.run = _compile_filter(plan_step.literal, self.stats)
+            compiled = _compile_filter(plan_step.literal)
         elif isinstance(plan_step.literal, PredLit):
-            self.run = _compile_pred(
-                plan_step.literal, bound, plan_step.mode, interp, self.stats
-            )
+            compiled = _compile_pred(plan_step.literal, bound, plan_step.mode)
         else:
-            self.run = _compile_func(
-                plan_step.literal, bound, plan_step.mode, interp, self.stats
-            )
+            compiled = _compile_func(plan_step.literal, bound, plan_step.mode)
+        self.run, self.params, self.source = compiled
+        self.slotted = substitute(self.params, slots) is not self.params
+
+    def state(self, interp: Interp, values: dict) -> StepState:
+        """A fresh run state: the step's extent in *interp* (created
+        empty if absent, as compiling against it always did) and its
+        parameters with *values* substituted."""
+        source = self.source
+        if source is not None:
+            kind, name = source
+            source = interp.pred(name) if kind == "pred" else interp.func_graph(name)
+        params = substitute(self.params, values) if self.slotted else self.params
+        return StepState(source, params)
 
 
 class RuleKernel:
-    """A rule body compiled against one chosen order (and seed)."""
+    """A rule body compiled against one chosen order (and seed).
 
-    __slots__ = ("rule", "seed", "order_key", "sizes", "steps")
+    Compiled from a rule as prepared — its constants may be a plan's
+    placeholder atoms, which each run binds (:meth:`CompiledStep.state`)
+    — and shared by every run that reaches the same order."""
 
-    def __init__(self, rule, seed, plan, order_key, sizes, interp: Interp):
+    __slots__ = ("rule", "seed", "order_key", "steps")
+
+    def __init__(self, rule, seed, plan, order_key, slots: dict):
         self.rule = rule
         self.seed = seed
         self.order_key = order_key
-        self.sizes = sizes
         bound: set = set()
         steps = []
         for plan_step in plan:
-            steps.append(CompiledStep(plan_step, bound, interp))
+            steps.append(CompiledStep(plan_step, bound, slots))
             if plan_step.kind in ("seed", "gen"):
                 bound |= plan_step.literal.variables()
             elif plan_step.kind == "bind":
                 bound.add(plan_step.binder[0])
         self.steps = steps
 
+
+class RunKernel:
+    """One run's use of a :class:`RuleKernel`: the bound *rule* it runs
+    for, the schedule (*plan*, with its estimates) and ordering inputs
+    it was chosen under, and one :class:`StepState` per step — so
+    EXPLAIN renders this run's rule, estimates and counters however
+    many runs share the kernel."""
+
+    __slots__ = ("kernel", "rule", "plan", "sizes", "states")
+
+    def __init__(self, kernel: RuleKernel, rule, plan, sizes, interp: Interp, values: dict):
+        self.kernel = kernel
+        self.rule = rule
+        self.plan = plan
+        self.sizes = sizes
+        self.states = [step.state(interp, values) for step in kernel.steps]
+
     def describe(self) -> str:
-        suffix = f" Δ{self.seed}" if self.seed is not None else ""
+        seed = self.kernel.seed
+        suffix = f" Δ{seed}" if seed is not None else ""
         return f"{self.rule.head!r}{suffix}"
+
+    def step_rows(self):
+        """``(label, estimate, stats)`` per step, labelled with this
+        run's literals."""
+        body = self.rule.body
+        for step, state in zip(self.plan, self.states):
+            yield step.label(body[step.index]), step.est_out, state.stats
 
     def run(self, substitutions, neg, budget, delta=None) -> list:
         """Execute the compiled pipeline."""
         charge = budget.charge
-        for step in self.steps:
+        for step, state in zip(self.kernel.steps, self.states):
             charge("steps")
-            substitutions = step.run(substitutions, neg, budget, delta)
+            substitutions = step.run(substitutions, neg, budget, delta, state)
             if not substitutions:
                 break
         return substitutions
 
 
-class KernelCache:
-    """Per-:class:`~repro.deductive.col.Interp` compiled-kernel cache.
+#: Bound on a cache's memoised orders: each distinct combination of
+#: ordering inputs is one entry, and a long-lived plan meets many.
+ORDER_MEMO_ENTRIES = 4096
 
-    Keyed on ``(id(rule), seed)`` — the kernel keeps a strong reference
-    to the rule, so ids cannot be recycled under us.  A hit revalidates
-    the cached ordering inputs: sizes that moved materially trigger a
-    re-order, and only an actually-different order recompiles (counted
-    in ``invalidations``).
+
+def _order_inputs(body, stats: dict) -> tuple:
+    """Exactly what :func:`~repro.deductive.ordering.choose_order` reads
+    of *stats*: per positive generator, its extent size and the
+    distinct counts of every position a constant or variable can
+    determine."""
+    inputs = []
+    for literal in body:
+        if isinstance(literal, PredLit):
+            if not literal.positive:
+                continue
+            found = stats.get(("pred", literal.name), 0)
+            if type(found) is int:
+                inputs.append(found)
+                continue
+            term = literal.term
+            if isinstance(term, TupD):
+                inputs.append(
+                    (
+                        found.size,
+                        tuple(
+                            found.distinct(position)
+                            for position, sub in enumerate(term.items)
+                            if isinstance(sub, (ConstD, VarD))
+                        ),
+                    )
+                )
+            else:
+                inputs.append(found.size)
+        elif isinstance(literal, FuncLit) and literal.positive:
+            found = stats.get(("func", literal.func), 0)
+            inputs.append(found if type(found) is int else (found.size, found.args))
+    return tuple(inputs)
+
+
+class KernelCache:
+    """Compiled kernels and chosen orders, shared by every run of one
+    plan.
+
+    Kernels are keyed on ``(prepared rule, seed, order_key)`` and
+    orders on ``(prepared rule, seed, ordering inputs)``; both are pure
+    functions of their keys, so concurrent runs only ever insert, and
+    a duplicate insert keeps the first entry.  Nothing else is written
+    during a run: counters, ordering inputs and step actuals belong to
+    the run (:class:`KernelRun`).
     """
 
-    __slots__ = ("interp", "entries", "hits", "misses", "invalidations")
+    __slots__ = ("compiled", "orders")
 
-    def __init__(self, interp: Interp):
+    def __init__(self):
+        self.compiled: dict = {}
+        self.orders: dict = {}
+
+    def order(self, rule, stats: dict, seed):
+        key = (rule, seed, _order_inputs(rule.body, stats))
+        found = self.orders.get(key)
+        if found is None:
+            found = choose_order(rule.body, stats, seed=seed)
+            if len(self.orders) < ORDER_MEMO_ENTRIES:
+                found = self.orders.setdefault(key, found)
+        return found
+
+
+class KernelRun:
+    """One fixpoint run's view of a :class:`KernelCache`, per
+    :class:`~repro.deductive.col.Interp`.
+
+    A lookup revalidates the run's current kernel for ``(rule, seed)``
+    against the extents' sizes: sizes that moved materially trigger a
+    re-order, and an actually-different order switches kernels
+    (counted in ``invalidations``).  ``misses`` counts compilations and
+    ``hits`` every lookup a compiled kernel served — a prepared plan's
+    later runs hit on their first lookup.
+
+    *binding* (a :class:`~repro.model.substitute.Binding`) supplies the
+    shared cache and the run's constants, and maps each bound rule to
+    the prepared rule its kernels are compiled from; without one the
+    run compiles into a cache of its own.
+    """
+
+    __slots__ = (
+        "cache", "interp", "binding", "values", "current",
+        "hits", "misses", "invalidations",
+    )
+
+    def __init__(self, interp: Interp, binding=None):
         self.interp = interp
-        self.entries: dict = {}
+        self.binding = binding
+        self.cache = binding.kernels if binding is not None else KernelCache()
+        self.values = binding.values if binding is not None else {}
+        self.current: dict = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -541,29 +710,37 @@ class KernelCache:
                 )
         return stats
 
-    def kernel(self, rule, seed: int | None = None) -> RuleKernel:
-        key = (id(rule), seed)
-        entry = self.entries.get(key)
+    def kernel(self, rule, seed: int | None = None) -> RunKernel:
+        prepared = self.binding.original(rule) if self.binding is not None else rule
+        key = (prepared, seed)
+        entry = self.current.get(key)
         sizes = self._sizes(rule)
         if entry is not None and not material_change(entry.sizes, sizes):
             self.hits += 1
             return entry
-        plan, order_key = choose_order(rule.body, self._stats(rule), seed=seed)
+        plan, order_key = self.cache.order(prepared, self._stats(rule), seed)
         if entry is not None:
-            if order_key == entry.order_key:
+            if order_key == entry.kernel.order_key:
                 entry.sizes = sizes
                 self.hits += 1
                 return entry
             self.invalidations += 1
-        self.misses += 1
-        with span("deductive.kernel_compile", seed=seed):
-            entry = RuleKernel(rule, seed, plan, order_key, sizes, self.interp)
-        self.entries[key] = entry
+        compiled_key = (prepared, seed, order_key)
+        kernel = self.cache.compiled.get(compiled_key)
+        if kernel is None:
+            self.misses += 1
+            with span("deductive.kernel_compile", seed=seed):
+                kernel = RuleKernel(prepared, seed, plan, order_key, self.values)
+            kernel = self.cache.compiled.setdefault(compiled_key, kernel)
+        else:
+            self.hits += 1
+        entry = RunKernel(kernel, rule, plan, sizes, self.interp, self.values)
+        self.current[key] = entry
         return entry
 
     def kernels(self) -> list:
-        """All cached kernels in first-compilation order."""
-        return list(self.entries.values())
+        """This run's kernels in first-lookup order."""
+        return list(self.current.values())
 
     def counters(self) -> dict:
         return {

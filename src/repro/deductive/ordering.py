@@ -82,10 +82,13 @@ class OrderedStep:
         self.est_out = est_out
         self.binder = binder
 
-    def label(self) -> str:
+    def label(self, literal=None) -> str:
+        """The step as EXPLAIN prints it: *literal* (by default the
+        scheduled one — a run passes its own, constants bound) plus the
+        step's population marker."""
         marker = {"delta": "Δ", "old": "old"}.get(self.mode)
         suffix = f" [{marker}]" if marker else ""
-        return f"{self.literal!r}{suffix}"
+        return f"{self.literal if literal is None else literal!r}{suffix}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OrderedStep({self.kind} {self.label()} est={self.est_out})"

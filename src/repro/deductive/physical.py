@@ -30,18 +30,14 @@ def col_physical(trace, label: str, stats: OpStats | None, interp) -> None:
     root = trace.node("Fixpoint", label, stats)
     for name in sorted(interp.preds):
         root.child("Scan", name, interp.preds[name].stats)
-    cache = getattr(interp, "_kernels", None)
-    if cache is None:
+    run = interp._kernels
+    if run is None:
         return
-    for kernel in cache.kernels():
+    for kernel in run.kernels():
         node = root.child("RuleKernel", kernel.describe())
-        for step in kernel.steps:
-            node.child(
-                "Step",
-                f"{step.plan.label()} est={step.plan.est_out}",
-                step.stats,
-            )
-    trace.kernel_stats = cache.counters()
+        for label, estimate, stats in kernel.step_rows():
+            node.child("Step", f"{label} est={estimate}", stats)
+    trace.kernel_stats = run.counters()
 
 
 def bk_physical(trace, label: str, stats: OpStats | None, extents: dict) -> None:

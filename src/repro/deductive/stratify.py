@@ -139,6 +139,7 @@ def run_stratified(
     budget: Budget | None = None,
     naive: bool = False,
     trace=None,
+    binding=None,
 ):
     """COL^str semantics: the answer instance, or ``?`` on divergence.
 
@@ -160,7 +161,7 @@ def run_stratified(
 
     budget = budget or Budget()
     strata = stratify(program)
-    interp = Interp.from_database(database)
+    interp = Interp.from_database(database, binding)
     stats = fixpoint_stats(trace)
     try:
         for rules in strata:

@@ -5,8 +5,9 @@ one :class:`RequestTrace` carrying its whole lifecycle: admission
 timestamps, queue wait, execution latency, the backend the planner
 chose, cache behaviour, budget spend, the verdict (including a
 budget-exhausted ``?`` as ``cause="budget:<resource>"``), and — when
-the backend ran on the :mod:`repro.engine.ops` kernel — the rendered
-:class:`~repro.engine.exec.PhysicalTrace` operator tree.
+the backend ran on the :mod:`repro.engine.ops` kernel — its
+:class:`~repro.engine.exec.PhysicalTrace` operator tree, rendered when
+the record is read.
 
 :class:`TraceLog` keeps the most recent :data:`TRACE_ENTRIES` records
 and, when armed with a slow-query threshold, a second bounded view of
@@ -59,7 +60,10 @@ class RequestTrace:
     cause: str | None = None
     error: str | None = None
     spent: dict = field(default_factory=dict)
-    physical: str | None = None
+    #: The operator tree: rendered, or the
+    #: :class:`~repro.engine.exec.PhysicalTrace` it renders from when
+    #: the record is read (most records are never read).
+    physical: object = None
 
     def queue_wait(self) -> float | None:
         if self.started_at is None:
@@ -90,7 +94,11 @@ class RequestTrace:
             "cause": self.cause,
             "error": self.error,
             "spent": self.spent,
-            "physical": self.physical,
+            "physical": (
+                self.physical
+                if self.physical is None or isinstance(self.physical, str)
+                else self.physical.render()
+            ),
         }
 
 

@@ -96,6 +96,7 @@ from .ir import (
     RuleQuery,
     SurfaceQuery,
 )
+from .shape import unquote
 
 
 class ParseError(ReproError):
@@ -236,7 +237,7 @@ class _Parser:
             return Atom(int(token.text))
         if token.kind == "string":
             self.next()
-            return Atom(_unquote(token.text))
+            return Atom(unquote(token.text))
         if token.kind == "name":
             self.next()
             return Atom(token.text)
@@ -735,10 +736,6 @@ class _Parser:
             )
         machine, schema, output_type = machines[name]
         return GTMQuery(self.text, name, machine, schema, output_type)
-
-
-def _unquote(text: str) -> str:
-    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
 def parse(text: str, schema: Schema | None = None) -> SurfaceQuery:

@@ -18,15 +18,18 @@ makes EXPLAIN output golden-testable.
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 from ..budget import Budget
 from ..catalog import Catalog
 from ..catalog.estimator import domain_estimate, join_product
 from ..catalog.policy import COST_CAP
+from ..deductive.kernels import KernelCache
 from ..engine.cache import program_fingerprint
 from ..errors import SchemaError
 from ..model.schema import Database
+from ..model.substitute import Binding, clean_nodes, substitute
 from .ir import (
     BKQuery,
     Comprehension,
@@ -109,6 +112,13 @@ class Rewrite:
 class Candidate:
     """An executable backend for one query, with its estimated cost.
 
+    *program* is what the backend runs — a lowered program, or the
+    literal's value — and *runner* runs it:
+    ``runner(program, database, budget, trace, binding)``.  A prepared
+    plan's program holds placeholder atoms; :meth:`run` substitutes
+    the run's constants into it first (:class:`~repro.model.substitute.
+    Binding`).
+
     :attr:`fact_driven` says whether the candidate reads only the
     instances of the query's own predicates (so the session may key
     its memo entry on the database restricted to them): every
@@ -117,25 +127,42 @@ class Candidate:
     """
 
     def __init__(
-        self, backend: str, cost: int, detail: str, runner, fact_driven=None
+        self, backend: str, cost: int, detail: str, runner, program=None,
+        fact_driven=None,
     ):
         self.backend = backend
         self.cost = _cap(cost)
         self.detail = detail
+        self.program = program
         self._runner = runner
         self.fact_driven = (
             backend in FACT_DRIVEN if fact_driven is None else fact_driven
         )
 
-    def run(self, database: Database, budget: Budget, trace=None):
-        return self._runner(database, budget, trace)
+    def run(self, database: Database, budget: Budget, trace, binding: Binding):
+        program = binding.bind(self.program)
+        return self._runner(program, database, budget, trace, binding)
 
     def __repr__(self) -> str:
         return f"Candidate({self.backend}, cost={self.cost})"
 
 
 class Plan:
-    """The priced candidate list for one query on one database profile."""
+    """The priced candidate list for one query on one database profile.
+
+    A plan may be *prepared*: planned from a query shape
+    (:mod:`repro.query.shape`) whose constants are the placeholder
+    atoms *slots*.  :meth:`bind` then gives the plan of one text of
+    that shape — the same candidates, costs and rewrites, with the
+    text's constants bound when a candidate runs and when its
+    :attr:`query` is first read.  Every run of a plan (and of the
+    plans bound from it) shares its compiled rule kernels
+    (:attr:`kernels`).
+
+    *footprint* is the set of schema predicates whose instances can
+    influence the answer (see :func:`program_predicates`); it does not
+    depend on constants, so bound plans share it.
+    """
 
     def __init__(
         self,
@@ -144,16 +171,73 @@ class Plan:
         rewrites: list,
         profile: dict,
         generic: bool,
+        footprint: frozenset = frozenset(),
+        slots: tuple = (),
     ):
         if not candidates:
             raise SchemaError(f"no backend can evaluate {query.text!r}")
-        self.query = query
+        self._query = query
+        self.text = query.text
         self.candidates = sorted(
             candidates, key=lambda c: (c.cost, _rank(c.backend))
         )
         self.rewrites = rewrites
         self.profile = profile
         self.generic = generic
+        self.footprint = footprint
+        self.slots = slots
+        #: The atoms of the query's constant objects (its set C).
+        self.constants = query.constants()
+        self.kernels = KernelCache()
+        #: ids of this plan's program nodes that hold no placeholder.
+        self.clean = (
+            clean_nodes([c.program for c in self.candidates], slots)
+            if slots
+            else frozenset()
+        )
+        #: The constants every text of the shape shares (``constants``
+        #: without the slots).
+        self.fixed = self.constants - frozenset(slots)
+        self.prepared: Plan | None = None
+        self.values: dict = {}
+
+    def bind(self, text: str, constants: tuple) -> "Plan":
+        """The plan of *text*, a text of this plan's shape whose slots
+        hold *constants* (by slot index); this plan itself when it has
+        no slots."""
+        if not self.slots:
+            return self
+        bound = Plan.__new__(Plan)
+        bound.__dict__.update(self.__dict__)
+        bound._query = None
+        bound.text = " ".join(text.split())
+        bound.slots = ()
+        bound.constants = bound.fixed = self.constants_for(constants)
+        bound.prepared = self
+        bound.values = dict(zip(self.slots, constants))
+        bound.fingerprint = self.fingerprint
+        return bound
+
+    def constants_for(self, constants: tuple) -> frozenset:
+        """The set C of the text whose slots hold *constants*."""
+        return self.fixed.union(constants) if constants else self.constants
+
+    @property
+    def query(self) -> SurfaceQuery:
+        """The parsed query; for a bound plan, the prepared query with
+        the text's constants substituted (built on first read)."""
+        query = self._query
+        if query is None:
+            query = substitute(self.prepared.query, self.values)
+            if query is self.prepared.query:
+                query = copy.copy(query)
+            query.text = self.text
+            self._query = query
+        return query
+
+    def binding(self) -> Binding:
+        """A fresh :class:`~repro.model.substitute.Binding` for one run."""
+        return Binding(self.values, self.kernels, self.clean)
 
     @property
     def chosen(self) -> Candidate:
@@ -167,7 +251,7 @@ class Plan:
         if cand is not None:
             return cand
         raise SchemaError(
-            f"plan for {self.query.text!r} has no backend {backend!r} "
+            f"plan for {self.text!r} has no backend {backend!r} "
             f"(has {', '.join(self.backends())})"
         )
 
@@ -187,13 +271,16 @@ class Plan:
         backend enters the key beside the fingerprint.  Costs read
         instance statistics, so they stay out: the same text on the
         same key data keys alike whichever database it was planned on."""
-        return self.query.text
+        return self.text
 
     @cached_property
     def fingerprint(self) -> str:
         """``program_fingerprint(self)``, hashed once per plan: nothing
         mutates a plan after :func:`build_plan`, so its memo fingerprint
-        cannot change."""
+        cannot change.  A bound plan carries its prepared plan's — the
+        shape's text — and the session keys the constants in the
+        text's slots beside it: shape and constants spell exactly the
+        bound text."""
         return program_fingerprint(self)
 
 
@@ -206,7 +293,7 @@ class ExecutionReport:
         result,
         spent: dict,
         cached: bool,
-        physical=None,
+        trace=None,
         kernel_cache=None,
         op_totals=None,
     ):
@@ -214,10 +301,9 @@ class ExecutionReport:
         self.result = result
         self.spent = spent
         self.cached = cached
-        #: Rendered physical-operator tree (str) for backends that run on
-        #: the :mod:`repro.engine.ops` kernel, else ``None``.  Counters
-        #: are data-derived, so this is as deterministic as the plan.
-        self.physical = physical
+        #: The run's :class:`~repro.engine.exec.PhysicalTrace`, or
+        #: ``None`` when nothing ran.
+        self.trace = trace
         #: Compiled-kernel cache counters (hits/misses/invalidations)
         #: when the backend ran cost-ordered rule kernels, else ``None``.
         self.kernel_cache = kernel_cache
@@ -226,6 +312,13 @@ class ExecutionReport:
         #: ``None`` — the serving layer folds these into the
         #: ``engine.ops.*`` registry counters.
         self.op_totals = op_totals
+
+    @cached_property
+    def physical(self) -> str | None:
+        """Rendered physical-operator tree for backends that run on the
+        :mod:`repro.engine.ops` kernel, else ``None``.  Counters are
+        data-derived, so this is as deterministic as the plan."""
+        return self.trace.render() if self.trace is not None else None
 
     def rounds(self) -> int:
         return self.spent.get("iterations", 0)
@@ -483,14 +576,29 @@ def algebra_reads_only(program, predicates) -> bool:
     return True
 
 
-def _comprehension_candidates(query: Comprehension, database: Database, profile, obj_bound):
+def _run_algebra(program, db, budget, trace, binding):
     from ..algebra.eval import run_program
+
+    return run_program(program, db, budget=budget, trace=trace)
+
+
+def _run_stratified(program, db, budget, trace, binding):
+    from ..deductive.stratify import run_stratified
+
+    return run_stratified(program, db, budget, trace=trace, binding=binding)
+
+
+def _run_inflationary(program, db, budget, trace, binding):
+    from ..deductive.inflationary import run_inflationary
+
+    return run_inflationary(program, db, budget, trace=trace, binding=binding)
+
+
+def _comprehension_candidates(query: Comprehension, database: Database, profile, obj_bound):
     from ..algebra.lowering import comprehension_to_algebra, push_selections
     from ..calculus.eval import evaluate_query
     from ..calculus.lowering import comprehension_to_calculus
-    from ..deductive.inflationary import run_inflationary
     from ..deductive.lowering import comprehension_to_col
-    from ..deductive.stratify import run_stratified
 
     query.typecheck(database.schema)
     candidates: list = []
@@ -502,9 +610,10 @@ def _comprehension_candidates(query: Comprehension, database: Database, profile,
             "calculus",
             calculus_cost(query, profile, obj_bound),
             "limited-interpretation evaluation of the comprehension body",
-            lambda db, budget, trace=None, _q=calc_query: evaluate_query(
-                _q, db, budget=budget, obj_bound=obj_bound, trace=trace
+            lambda q, db, budget, trace, binding: evaluate_query(
+                q, db, budget=budget, obj_bound=obj_bound, trace=trace
             ),
+            program=calc_query,
         )
     )
 
@@ -531,9 +640,8 @@ def _comprehension_candidates(query: Comprehension, database: Database, profile,
                 "algebra",
                 algebra_cost(program, profile),
                 "hash-join pipeline from the conjunctive core",
-                lambda db, budget, trace=None, _p=program: run_program(
-                    _p, db, budget=budget, trace=trace
-                ),
+                _run_algebra,
+                program=program,
                 fact_driven=algebra_reads_only(program, query.predicates()),
             )
         )
@@ -557,9 +665,8 @@ def _comprehension_candidates(query: Comprehension, database: Database, profile,
                 "col-stratified",
                 cost,
                 f"semi-naive COL^str, answer {col_program.answer}",
-                lambda db, budget, trace=None, _p=col_program: run_stratified(
-                    _p, db, budget, trace=trace
-                ),
+                _run_stratified,
+                program=col_program,
             )
         )
         if not has_negation:
@@ -568,16 +675,14 @@ def _comprehension_candidates(query: Comprehension, database: Database, profile,
                     "col-inflationary",
                     cost + 1,
                     "semi-naive COL^inf (agrees: negation-free)",
-                    lambda db, budget, trace=None, _p=col_program: run_inflationary(
-                        _p, db, budget, trace=trace
-                    ),
+                    _run_inflationary,
+                    program=col_program,
                 )
             )
     return candidates, rewrites
 
 
 def _pipeline_candidates(query: PipelineQuery, database: Database, profile):
-    from ..algebra.eval import run_program
     from ..algebra.lowering import push_selections
 
     for name in query.predicates():
@@ -599,9 +704,8 @@ def _pipeline_candidates(query: PipelineQuery, database: Database, profile):
             "algebra",
             algebra_cost(program, profile),
             "native algebra pipeline",
-            lambda db, budget, trace=None, _p=program: run_program(
-                _p, db, budget=budget, trace=trace
-            ),
+            _run_algebra,
+            program=program,
             fact_driven=algebra_reads_only(program, query.predicates()),
         )
     ]
@@ -609,7 +713,6 @@ def _pipeline_candidates(query: PipelineQuery, database: Database, profile):
 
 
 def _rule_candidates(query: RuleQuery, database: Database, profile):
-    from ..deductive.inflationary import run_inflationary
     from ..deductive.magic import NotDemandable, demand_rewrite
     from ..deductive.stratify import run_stratified
 
@@ -624,17 +727,17 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
             "col-stratified",
             cost,
             "semi-naive stratified fixpoint",
-            lambda db, budget, trace=None, _p=program: run_stratified(
-                _p, db, budget, trace=trace
-            ),
+            _run_stratified,
+            program=program,
         ),
         Candidate(
             "col-naive",
             _cap(cost * 4),
             "full re-join per round (baseline driver)",
-            lambda db, budget, trace=None, _p=program: run_stratified(
-                _p, db, budget, naive=True, trace=trace
+            lambda p, db, budget, trace, binding: run_stratified(
+                p, db, budget, naive=True, trace=trace, binding=binding
             ),
+            program=program,
         ),
     ]
     rewrites = [
@@ -658,9 +761,8 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
                 "col-inflationary",
                 cost + 1,
                 "semi-naive inflationary fixpoint",
-                lambda db, budget, trace=None, _p=program: run_inflationary(
-                    _p, db, budget, trace=trace
-                ),
+                _run_inflationary,
+                program=program,
             )
         )
     try:
@@ -674,9 +776,8 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
                 "col-demand",
                 demand_cost(demand, profile),
                 "magic-set rewrite, semi-naive stratified fixpoint",
-                lambda db, budget, trace=None, _p=demand.program: run_stratified(
-                    _p, db, budget, trace=trace
-                ),
+                _run_stratified,
+                program=demand.program,
             )
         )
     return candidates, rewrites
@@ -686,16 +787,22 @@ def _bk_candidates(query: BKQuery, database: Database, profile):
     from ..deductive.bk import run_bk
 
     def runner(naive):
-        def run(db, budget, trace=None, _p=query.program, _n=naive):
+        def run(program, db, budget, trace, binding):
             mapping = {name: db[name].items for name in db}
-            return run_bk(_p, mapping, budget, naive=_n, trace=trace)
+            return run_bk(program, mapping, budget, naive=naive, trace=trace)
 
         return run
 
     base = bk_cost(query.program, profile)
     candidates = [
-        Candidate("bk-hashjoin", base, "semi-naive with per-predicate hash indexes", runner(False)),
-        Candidate("bk-naive", _cap(base * 9), "every rule, every round", runner(True)),
+        Candidate(
+            "bk-hashjoin", base, "semi-naive with per-predicate hash indexes",
+            runner(False), program=query.program,
+        ),
+        Candidate(
+            "bk-naive", _cap(base * 9), "every rule, every round", runner(True),
+            program=query.program,
+        ),
     ]
     return candidates, []
 
@@ -730,7 +837,7 @@ def _gtm_candidates(query: GTMQuery, database: Database, profile):
     for backend, route in GTM_ROUTES.items():
         factor = GTM_ROUTE_FACTOR[backend]
 
-        def run(db, budget, trace=None, _route=route):
+        def run(program, db, budget, trace, binding, _route=route):
             # Simulation routes run whole machines; no kernel trace.
             impls = implementations_for(
                 query.machine,
@@ -760,14 +867,42 @@ def _gtm_candidates(query: GTMQuery, database: Database, profile):
 # ---------------------------------------------------------------------------
 
 
+def program_predicates(query, schema) -> frozenset:
+    """The schema predicates whose instances can influence *query*.
+
+    For rule blocks this is every predicate the program *mentions* —
+    reads **and** heads, since a base instance sharing a head's name
+    seeds the fixpoint — intersected with the schema.  Other query
+    forms fall back to their declared ``predicates()``.
+    """
+    if isinstance(query, RuleQuery):
+        names: set = set()
+        for rule in query.program.rules:
+            names |= rule.predicates()
+        names |= {
+            name for kind, name in query.program.head_symbols() if kind == "pred"
+        }
+    elif isinstance(query, BKQuery):
+        names = {rule.head.pred for rule in query.program.rules}
+        for rule in query.program.rules:
+            names |= {tail.pred for tail in rule.tails}
+        names.add(query.program.answer)
+    else:
+        names = set(query.predicates())
+    return frozenset(name for name in names if name in schema)
+
+
 def build_plan(
-    query: SurfaceQuery, database: Database, obj_bound: int = 200
+    query: SurfaceQuery, database: Database, obj_bound: int = 200,
+    slots: tuple = (),
 ) -> Plan:
     """Price every applicable backend for *query* on *database*.
 
     Instance statistics come from the database's memoized
     :class:`~repro.catalog.Catalog` — sizes, active domain, max depth —
-    so the plan is a function of *query* and *database* alone.
+    so the plan is a function of *query* and *database* alone.  When
+    *query* was parsed from a shape, *slots* lists its placeholder
+    atoms and the plan is prepared (see :meth:`Plan.bind`).
     """
     profile = Catalog.for_database(database).profile()
     generic = True
@@ -778,7 +913,8 @@ def build_plan(
                 "literal",
                 0,
                 "ground object",
-                lambda db, budget, trace=None, _v=value: _v,
+                lambda v, db, budget, trace, binding: v,
+                program=value,
             )
         ]
         rewrites: list = []
@@ -800,7 +936,11 @@ def build_plan(
         candidates, rewrites = _gtm_candidates(query, database, profile)
     else:
         raise SchemaError(f"unplannable query {query!r}")
-    return Plan(query, candidates, rewrites, profile, generic)
+    return Plan(
+        query, candidates, rewrites, profile, generic,
+        footprint=program_predicates(query, database.schema),
+        slots=slots,
+    )
 
 
 def execute_plan(
@@ -812,22 +952,23 @@ def execute_plan(
     """Run one candidate (the chosen one by default) and report actuals.
 
     Backends that execute on the :mod:`repro.engine.ops` kernel fill a
-    :class:`~repro.engine.exec.PhysicalTrace`; its rendering (operator
-    tree with per-operator counters) lands in
-    :attr:`ExecutionReport.physical`.
+    :class:`~repro.engine.exec.PhysicalTrace`; the report keeps it and
+    renders it (operator tree with per-operator counters) when
+    :attr:`ExecutionReport.physical` is first read.  The counters it
+    holds are this run's own, so a late read still shows this run.
     """
     from ..engine.exec import PhysicalTrace
 
     budget = budget or Budget()
     candidate = plan.candidate(backend) if backend else plan.chosen
     trace = PhysicalTrace()
-    result = candidate.run(database, budget, trace=trace)
+    result = candidate.run(database, budget, trace=trace, binding=plan.binding())
     return ExecutionReport(
         candidate.backend,
         result,
         budget.spent_all(),
         cached=False,
-        physical=trace.render(),
+        trace=trace,
         kernel_cache=trace.kernel_stats,
         op_totals=trace.totals(),
     )

@@ -3,13 +3,18 @@
 A session holds a database, a root :class:`~repro.budget.Budget`, and
 two caches:
 
-* a text-keyed LRU of :class:`~repro.query.planner.Plan` objects (a
-  plan depends on the database's instance statistics, so the database
-  itself is part of the key);
+* an LRU of prepared :class:`~repro.query.planner.Plan` objects keyed
+  on ``(shape, database)``: the shape is the text with its quoted
+  constants lifted into slots (:mod:`repro.query.shape`), and a plan
+  depends on the database's instance statistics, so the database
+  itself is part of the key.  Every text of a planned shape skips
+  parsing, lowering, pricing and kernel compilation; its constants are
+  bound when the plan runs (:meth:`~repro.query.planner.Plan.bind`);
 * the genericity-aware :class:`~repro.engine.cache.MemoCache` for
-  *results*, keyed by the query text (its plan's fingerprint), backend,
-  constants and the database (or its restriction to the query's
-  footprint) — what determines the answer, and nothing else.  The same
+  *results*, keyed by the query text (its shape's fingerprint plus
+  the constants bound in its slots), backend, constants and the
+  database (or its restriction to the query's footprint) — what
+  determines the answer, and nothing else.  The same
   data hits exactly, with no canonical form; a database whose atoms are
   permuted hits through canonical forms, computed only once the query
   already has an entry to match.  Plans marked non-generic
@@ -17,8 +22,9 @@ two caches:
   output may depend on the fresh objects the evaluator invents, which
   no key can capture.
 
-Both caches are pure functions of (text, database), so a commit only
-switches the session's database (:meth:`Session.apply_delta`).
+Both caches are pure functions of (text, database) — the plan LRU
+through the text's shape — so a commit only switches the session's
+database (:meth:`Session.apply_delta`).
 
 Each query runs under a *child* of the session budget, so one runaway
 query cannot silently drain the session's allowance for the rest.
@@ -29,38 +35,32 @@ from __future__ import annotations
 from ..budget import Budget
 from ..catalog import Catalog
 from ..engine.cache import LRUCache, MemoCache
+from ..errors import ReproError
 from ..model.intern import INTERNER
 from ..model.schema import Database, Schema
 from ..obs.metrics import flatten
 from ..obs.span import span
 from .explain import render, render_plan
-from .ir import BKQuery, RuleQuery
 from .parser import parse
 from .planner import ExecutionReport, Plan, build_plan, execute_plan
+from .shape import Shape, lift, placeholders
 
-def _program_predicates(query, schema) -> frozenset:
-    """The schema predicates whose instances can influence *query*.
+#: Stored in the plan LRU under a shape whose texts cannot share one
+#: prepared plan: the shape fails to parse or plan, or its plan would
+#: print a placeholder (a rewrite note quoting a constant, say).  Each
+#: text of such a shape is planned on its own, and nothing is cached
+#: for it.
+_UNSHARED = object()
 
-    For rule blocks this is every predicate the program *mentions* —
-    reads **and** heads, since a base instance sharing a head's name
-    seeds the fixpoint — intersected with the schema.  Other query
-    forms fall back to their declared ``predicates()``.
-    """
-    if isinstance(query, RuleQuery):
-        names: set = set()
-        for rule in query.program.rules:
-            names |= rule.predicates()
-        names |= {
-            name for kind, name in query.program.head_symbols() if kind == "pred"
-        }
-    elif isinstance(query, BKQuery):
-        names = {rule.head.pred for rule in query.program.rules}
-        for rule in query.program.rules:
-            names |= {tail.pred for tail in rule.tails}
-        names.add(query.program.answer)
-    else:
-        names = set(query.predicates())
-    return frozenset(name for name in names if name in schema)
+
+def _prints_a_slot(plan: Plan) -> bool:
+    """Whether EXPLAIN of *plan* would print a placeholder beyond its
+    text line — a note or detail quoting a constant — which a bound
+    plan cannot show as its own constant."""
+    lines = [plan.query.describe()]
+    lines.extend(rewrite.note for rewrite in plan.rewrites)
+    lines.extend(candidate.detail for candidate in plan.candidates)
+    return any(slot.label in line for line in lines for slot in plan.slots)
 
 
 class Session:
@@ -88,15 +88,50 @@ class Session:
             return parse(text, schema=self.database.schema)
 
     def plan(self, text: str, database: Database | None = None) -> Plan:
-        database = database or self.database
-        key = (text, database)
-        cached = self.plans.get(key)
-        if cached is not None:
-            return cached
-        with span("session.plan"):
-            plan = build_plan(self.parse(text), database, obj_bound=self.obj_bound)
-        self.plans.put(key, plan)
-        return plan
+        """The plan of *text* on *database* (the session's by default):
+        its shape's prepared plan bound to its constants."""
+        plan, shape = self._prepared(text, database or self.database)
+        return plan.bind(text, shape.constants)
+
+    def _prepared(self, text: str, database: Database) -> tuple:
+        """``(plan, shape)``: the prepared plan of *text*'s shape and
+        the shape.
+
+        The LRU holds one prepared plan per ``(shape, database)``
+        (:mod:`repro.query.shape`); a text whose shape is planned
+        already skips parsing, lowering and pricing.  A text of a shape
+        that cannot be shared (see :data:`_UNSHARED`) is planned from
+        its own text, so it raises its own errors and prints its own
+        notes; its shape is then the text itself."""
+        shape = lift(text)
+        key = (shape.key, database)
+        prepared = self.plans.get(key)
+        if prepared is None:
+            with span("session.plan"):
+                prepared = self._prepare(shape, database)
+            self.plans.put(key, prepared)
+        if prepared is _UNSHARED:
+            with span("session.plan"):
+                plan = build_plan(self.parse(text), database, obj_bound=self.obj_bound)
+            return plan, Shape(text, ())
+        return prepared, shape
+
+    def _prepare(self, shape: Shape, database: Database):
+        """The prepared plan of *shape* on *database*, or
+        :data:`_UNSHARED`.  A constant-free shape is its text: its
+        errors propagate and nothing is cached."""
+        if not shape.constants:
+            return build_plan(self.parse(shape.key), database, obj_bound=self.obj_bound)
+        try:
+            plan = build_plan(
+                self.parse(shape.key),
+                database,
+                obj_bound=self.obj_bound,
+                slots=placeholders(len(shape.constants)),
+            )
+        except ReproError:
+            return _UNSHARED
+        return _UNSHARED if _prints_a_slot(plan) else plan
 
     # -- execution ------------------------------------------------------
 
@@ -117,15 +152,18 @@ class Session:
         """
         database = database or self.database
         with span("session.run") as run_span:
-            plan = self.plan(text, database)
+            plan, shape = self._prepared(text, database)
             child = (budget or self.budget).child()
             chosen = backend or plan.chosen.backend
 
             captured: list = []
 
             def evaluate(db: Database):
+                # Only a run binds the text's constants: a memo hit
+                # needs the prepared plan alone.
+                bound = plan.bind(text, shape.constants)
                 with span("session.execute", backend=chosen):
-                    report = execute_plan(plan, db, child, backend=backend)
+                    report = execute_plan(bound, db, child, backend=backend)
                 captured.append(report)
                 return report.result
 
@@ -142,16 +180,17 @@ class Session:
             key_database = None
             candidate = plan.find(chosen)
             if plan.generic and candidate is not None and candidate.fact_driven:
-                preds = _program_predicates(plan.query, database.schema)
-                if preds:
-                    key_database = Catalog.for_database(database).restrict(preds)
+                if plan.footprint:
+                    key_database = Catalog.for_database(database).restrict(
+                        plan.footprint
+                    )
             result = self.memo.run(
                 evaluate,
                 plan,
                 database,
-                constants=plan.query.constants(),
+                constants=plan.constants_for(shape.constants),
                 generic=plan.generic,
-                extra_key=("backend", chosen),
+                extra_key=("backend", chosen, shape.constants),
                 key_database=key_database,
                 fingerprint=plan.fingerprint,
             )
@@ -189,7 +228,7 @@ class Session:
 
         Nothing else moves.  Memo entries are keyed on the data each
         was computed from (the whole database, or its restriction to
-        the query's footprint), and plans on ``(text, database)``: an
+        the query's footprint), and plans on ``(shape, database)``: an
         entry the commit affects is unreachable from the new state and
         ages out through its LRU, an entry whose footprint the commit
         missed still hits (the catalog carries its restrict view over),

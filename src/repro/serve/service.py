@@ -664,7 +664,7 @@ class QueryService:
                 )
             trace.backend = report.backend
             trace.cached = report.cached
-            trace.physical = report.physical
+            trace.physical = report.trace
             trace.spent = report.spent
             kernel_cache = report.kernel_cache
             if kernel_cache:

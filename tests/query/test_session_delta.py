@@ -16,8 +16,13 @@ from repro.model.types import parse_type
 from repro.algebra.ast import Assign, EncodeInput, Program, Var
 from repro.query.explain import render_plan
 from repro.query.parser import parse
-from repro.query.planner import algebra_reads_only, build_plan, execute_plan
-from repro.query.session import Session, _program_predicates
+from repro.query.planner import (
+    algebra_reads_only,
+    build_plan,
+    execute_plan,
+    program_predicates,
+)
+from repro.query.session import Session
 from repro.store.codec import rows_from_json
 from repro.store.tx import apply_ops
 
@@ -239,7 +244,7 @@ class TestAlgebraFootprint:
         plan = build_plan(parse(text, schema=MIXED), database)
         candidate = plan.candidate("algebra")
         assert candidate.fact_driven
-        restricted = database.restrict(_program_predicates(plan.query, MIXED))
+        restricted = database.restrict(program_predicates(plan.query, MIXED))
         full = execute_plan(plan, database, Budget(), backend="algebra").result
         assert execute_plan(plan, restricted, Budget(), backend="algebra").result == full
 
